@@ -274,45 +274,82 @@ BENCHMARK(BM_ScatterScalar);
 
 // --- int8 regime kernels ---------------------------------------------------
 //
-// The quantized hot path's three stages at VGG-like geometry: dynamic
-// activation quantization into the VNNI byte layout, and the u8xs8->s32
-// igemm with dequant folded into the store (runtime-dispatched AVX-512
-// VNNI / AVX2 / scalar vs the bitwise-identical scalar reference). The
-// igemm pair's ratio is the int8 raw-speed win BENCH_kernels.json tracks.
+// The quantized hot path's stages at VGG-like geometry: quantizing the
+// input planes once into padded biased-u8 planes, lowering them into the
+// igemm's VNNI byte layout, and the u8xs8->s32 igemm with dequant folded
+// into the store (runtime-dispatched AVX-512 VNNI / AVX2 / scalar vs the
+// bitwise-identical scalar reference). The igemm pair's ratio is the int8
+// raw-speed win BENCH_kernels.json tracks.
 
 constexpr int kI8OutC = 128;            // VGG-ish filter count
-constexpr int64_t kI8Patch = 128 * 9;   // in_c * k_h * k_w
-constexpr int64_t kI8Pos = 256;         // 16x16 output positions
+constexpr int kI8InC = 128;
+constexpr int kI8Side = 16;             // 16x16 input, 3x3 pad 1
+constexpr int64_t kI8Patch = kI8InC * 9;  // in_c * k_h * k_w
+constexpr int64_t kI8Pos = kI8Side * kI8Side;
+
+ConvGeom i8_geom() {
+  ConvGeom g;
+  g.in_c = kI8InC;
+  g.in_h = g.in_w = kI8Side;
+  g.k_h = g.k_w = 3;
+  g.pad = 1;
+  return g;
+}
+
+constexpr int64_t kI8PlaneBytes = (kI8Side + 2) * (kI8Side + 2);
 
 template <bool kSimd>
-void quantize_activations_bench(benchmark::State& state) {
+void quantize_planes_bench(benchmark::State& state) {
   Rng rng(54);
-  Tensor cols = Tensor::randn(
-      {static_cast<int>(kI8Patch), static_cast<int>(kI8Pos)}, rng);
-  std::vector<uint8_t> qb(
-      static_cast<size_t>(nn::int8_align4(kI8Patch)) * kI8Pos);
+  Tensor x = Tensor::randn({kI8InC, kI8Side, kI8Side}, rng);
+  std::vector<uint8_t> planes(static_cast<size_t>(kI8InC * kI8PlaneBytes));
   for (auto _ : state) {
-    float scale;
-    if (kSimd) {
-      scale = nn::quantize_activations(cols.data(), kI8Patch, kI8Pos,
-                                       qb.data());
-    } else {
-      scale = nn::quantize_activations_scalar(cols.data(), kI8Patch, kI8Pos,
-                                              qb.data());
+    const float maxabs = nn::max_abs(x.data(), x.size());
+    for (int c = 0; c < kI8InC; ++c) {
+      const float* src = x.data() + c * kI8Pos;
+      uint8_t* dst = planes.data() + c * kI8PlaneBytes;
+      if (kSimd) {
+        nn::quantize_plane_u8(src, kI8Side, kI8Side, 1, maxabs, dst);
+      } else {
+        nn::quantize_plane_u8_scalar(src, kI8Side, kI8Side, 1, maxabs, dst);
+      }
     }
-    benchmark::DoNotOptimize(scale);
+    benchmark::DoNotOptimize(planes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+void BM_Int8QuantizePlanes(benchmark::State& state) {
+  quantize_planes_bench<true>(state);
+}
+void BM_Int8QuantizePlanesScalar(benchmark::State& state) {
+  quantize_planes_bench<false>(state);
+}
+BENCHMARK(BM_Int8QuantizePlanes);
+BENCHMARK(BM_Int8QuantizePlanesScalar);
+
+// The [k4/4][pos][4] operand lowered from the quantized planes.
+void BM_Int8LowerU8(benchmark::State& state) {
+  Rng rng(57);
+  const ConvGeom g = i8_geom();
+  Tensor x = Tensor::randn({kI8InC, kI8Side, kI8Side}, rng);
+  std::vector<uint8_t> planes(static_cast<size_t>(kI8InC * kI8PlaneBytes));
+  const float maxabs = nn::max_abs(x.data(), x.size());
+  for (int c = 0; c < kI8InC; ++c) {
+    nn::quantize_plane_u8(x.data() + c * kI8Pos, kI8Side, kI8Side, 1, maxabs,
+                          planes.data() + c * kI8PlaneBytes);
+  }
+  const int64_t k4 = nn::int8_align4(kI8Patch);
+  std::vector<uint8_t> qb(static_cast<size_t>(k4) * kI8Pos);
+  for (auto _ : state) {
+    nn::lower_u8_quads(planes.data(), kI8InC, g, 0, k4 / 4, 0, kI8Pos,
+                       qb.data(), kI8Pos);
     benchmark::DoNotOptimize(qb.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * kI8Patch * kI8Pos);
 }
-void BM_Int8QuantizeActs(benchmark::State& state) {
-  quantize_activations_bench<true>(state);
-}
-void BM_Int8QuantizeActsScalar(benchmark::State& state) {
-  quantize_activations_bench<false>(state);
-}
-BENCHMARK(BM_Int8QuantizeActs);
-BENCHMARK(BM_Int8QuantizeActsScalar);
+BENCHMARK(BM_Int8LowerU8);
 
 template <bool kSimd>
 void int8_igemm_bench(benchmark::State& state) {
@@ -327,8 +364,9 @@ void int8_igemm_bench(benchmark::State& state) {
   nn::quantize_weights_rowwise(w.data(), kI8OutC, kI8Patch, qw.data(), k4,
                                wscale.data(), wsum.data());
   std::vector<uint8_t> qb(static_cast<size_t>(k4) * kI8Pos);
-  const float sa =
-      nn::quantize_activations(cols.data(), kI8Patch, kI8Pos, qb.data());
+  const float sa = nn::quantize_activations_scalar(
+      cols.data(), kI8Patch, kI8Pos, nn::max_abs(cols.data(), cols.size()),
+      qb.data());
   std::vector<float> y(static_cast<size_t>(kI8OutC) * kI8Pos);
   for (auto _ : state) {
     if (kSimd) {

@@ -206,8 +206,6 @@ Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
   compute_attention(x, prune_channels, prune_spatial);
 
   Tensor out = ctx.alloc(x.shape());
-  std::memcpy(out.data(), x.data(),
-              static_cast<size_t>(x.size()) * sizeof(float));
   cached_mask_ = Tensor();  // inference: no backward cache
   ctx_forward_masked_ = true;
 
@@ -223,12 +221,6 @@ Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
                        select_scratch_, sample_mask.channels);
       stats_.kept_channels +=
           static_cast<int64_t>(sample_mask.channels.size());
-      kept_to_mask_into(sample_mask.channels, c, keep_scratch_);
-      for (int ch = 0; ch < c; ++ch) {
-        if (keep_scratch_[static_cast<size_t>(ch)]) continue;
-        float* plane = out.data() + (static_cast<int64_t>(b) * c + ch) * hw;
-        for (int j = 0; j < hw; ++j) plane[j] = 0.f;
-      }
     } else {
       sample_mask.channels.clear();
       stats_.kept_channels += c;
@@ -243,15 +235,31 @@ Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
       stats_.kept_positions +=
           static_cast<int64_t>(sample_mask.positions.size());
       kept_to_mask_into(sample_mask.positions, hw, keep_scratch_);
-      for (int ch = 0; ch < c; ++ch) {
-        float* plane = out.data() + (static_cast<int64_t>(b) * c + ch) * hw;
-        for (int j = 0; j < hw; ++j) {
-          if (!keep_scratch_[static_cast<size_t>(j)]) plane[j] = 0.f;
-        }
-      }
     } else {
       sample_mask.positions.clear();
       stats_.kept_positions += hw;
+    }
+
+    // The masked map in one pass: dropped channel planes are zero-filled,
+    // kept planes copied, through the position mask when one is pruned.
+    // The kept channel list is ascending, so a cursor walks it.
+    const std::vector<int>& kept_ch = sample_mask.channels;
+    size_t next = 0;
+    for (int ch = 0; ch < c; ++ch) {
+      const int64_t at = (static_cast<int64_t>(b) * c + ch) * hw;
+      const float* src = x.data() + at;
+      float* dst = out.data() + at;
+      const bool keep_plane = !prune_channels || (next < kept_ch.size() &&
+                                                  kept_ch[next] == ch);
+      if (prune_channels && keep_plane) ++next;
+      if (!keep_plane) {
+        std::memset(dst, 0, static_cast<size_t>(hw) * sizeof(float));
+      } else if (!prune_spatial) {
+        std::memcpy(dst, src, static_cast<size_t>(hw) * sizeof(float));
+      } else {
+        for (int j = 0; j < hw; ++j)
+          dst[j] = keep_scratch_[static_cast<size_t>(j)] ? src[j] : 0.f;
+      }
     }
   }
 

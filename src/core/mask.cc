@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "base/error.h"
-#include "tensor/ops.h"
 
 namespace antidote::core {
 
@@ -42,23 +41,35 @@ void select_kept_into(std::span<const float> attention, float drop_ratio,
                       std::vector<int>& kept) {
   const int n = static_cast<int>(attention.size());
   const int k = kept_count(n, drop_ratio);
-  switch (order) {
-    case MaskOrder::kAttention:
-      ops::topk_indices_into(attention, k, scratch, kept);
-      break;
-    case MaskOrder::kInverseAttention:
-      ops::bottomk_indices_into(attention, k, scratch, kept);
-      break;
-    case MaskOrder::kRandom: {
-      // Same draw as Rng::permutation: shuffle of iota, first k kept.
-      scratch.resize(static_cast<size_t>(n));
-      std::iota(scratch.begin(), scratch.end(), 0);
-      rng.shuffle(scratch);
-      kept.assign(scratch.begin(), scratch.begin() + k);
-      break;
-    }
+  scratch.resize(static_cast<size_t>(n));
+  std::iota(scratch.begin(), scratch.end(), 0);
+  if (order == MaskOrder::kRandom) {
+    // Same draw as Rng::permutation: shuffle of iota, first k kept.
+    rng.shuffle(scratch);
+    kept.assign(scratch.begin(), scratch.begin() + k);
+    std::sort(kept.begin(), kept.end());
+    return;
   }
-  std::sort(kept.begin(), kept.end());
+  // Strict total order: a ranks ahead of b by value (descending for
+  // attention, ascending for inverse), ties to the lower index.
+  const bool top = order == MaskOrder::kAttention;
+  const auto ahead = [&](int a, int b) {
+    const float va = attention[static_cast<size_t>(a)];
+    const float vb = attention[static_cast<size_t>(b)];
+    if (va != vb) return top ? va > vb : va < vb;
+    return a < b;
+  };
+  // nth_element puts the k-th ranked index at k - 1. Under a strict total
+  // order exactly k indices do not rank behind it, so marking those in
+  // one ascending scan emits the kept set already sorted.
+  std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
+                   scratch.end(), ahead);
+  const int pivot = scratch[static_cast<size_t>(k - 1)];
+  kept.clear();
+  kept.reserve(static_cast<size_t>(k));
+  for (int i = 0; i < n; ++i) {
+    if (!ahead(pivot, i)) kept.push_back(i);
+  }
 }
 
 std::vector<uint8_t> kept_to_mask(std::span<const int> kept, int n) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "base/error.h"
 #include "base/parallel.h"
@@ -637,6 +638,60 @@ int64_t conv_batch_dense(const float* x_base, int64_t in_floats,
   return static_cast<int64_t>(out_c) * pos * patch * n;
 }
 
+namespace {
+
+// Bytes of one quantized input plane, bordered by the conv's padding.
+int64_t padded_plane_bytes(const ConvGeom& g) {
+  return static_cast<int64_t>(g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad);
+}
+
+// Quantizes `count` f32 input planes (plane i at src(i)) into consecutive
+// padded u8 planes at ONE scale, the largest |x| over all of them, and
+// returns that activation scale.
+template <typename PlaneSrc>
+float quantize_planes(const PlaneSrc& src, int64_t count, const ConvGeom& g,
+                      uint8_t* planes) {
+  obs::PhaseScope span(obs::Phase::kQuant);
+  const int64_t plane = static_cast<int64_t>(g.in_h) * g.in_w;
+  const int64_t qplane = padded_plane_bytes(g);
+  float maxabs = 0.f;
+  for (int64_t i = 0; i < count; ++i)
+    maxabs = std::max(maxabs, max_abs(src(i), plane));
+  parallel_for(
+      0, count,
+      [&](int64_t i0, int64_t i1) {
+        for (int64_t i = i0; i < i1; ++i) {
+          quantize_plane_u8(src(i), g.in_h, g.in_w, g.pad, maxabs,
+                            planes + i * qplane);
+        }
+      },
+      /*grain=*/1);
+  return maxabs / 127.f;
+}
+
+// Lowers output positions [p0, p0 + tw) of `members` consecutive sets of
+// ck quantized planes into one igemm operand of members * tw columns:
+// member s fills columns [s * tw, (s + 1) * tw) of every row quad.
+void lower_tile_u8(const uint8_t* planes, int members, int ck,
+                   const ConvGeom& g, int64_t p0, int64_t tw,
+                   uint8_t* qcols) {
+  const int64_t quads =
+      int8_align4(static_cast<int64_t>(ck) * g.k_h * g.k_w) / 4;
+  const int64_t member_bytes = ck * padded_plane_bytes(g);
+  const int64_t ld = members * tw;
+  parallel_for(
+      0, quads,
+      [&](int64_t q0, int64_t q1) {
+        for (int s = 0; s < members; ++s) {
+          lower_u8_quads(planes + s * member_bytes, ck, g, q0, q1, p0,
+                         p0 + tw, qcols + s * tw * 4, ld);
+        }
+      },
+      /*grain=*/1);
+}
+
+}  // namespace
+
 int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
                             const ConvGeom& g, const Int8ConvWeights& qw,
                             int out_c, const float* bias, int n,
@@ -646,80 +701,39 @@ int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
   const int64_t pos = g.out_positions();
   const int64_t p4 = int8_align4(patch);
   AD_CHECK_EQ(p4, qw.row_stride);
-  if (tile > 0 && tile < pos) {
-    // Tiled int8 regime: lower + quantize one [patch x tile] panel at a
-    // time; the igemm writes its dequantized tile straight into the
-    // output slot (ldy = pos). The activation scale is per tile.
-    const Workspace::Mark scratch = ws.mark();
-    float* cols = ws.alloc_floats(patch * tile);
-    uint8_t* qcols = ws.alloc<uint8_t>(p4 * tile);
-    for (int b = 0; b < n; ++b) {
-      const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-      float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-        obs::PhaseScope tile_span(obs::Phase::kTile);
-        const int64_t tw = std::min(tile, pos - p0);
-        {
-          obs::PhaseScope span(obs::Phase::kIm2col);
-          parallel_for(
-              0, g.in_c,
-              [&](int64_t c0, int64_t c1) {
-                im2col_range_pos(xb, g, static_cast<int>(c0),
-                                 static_cast<int>(c1), p0, p0 + tw, cols,
-                                 tw);
-              },
-              /*grain=*/1);
-        }
-        float sa;
-        {
-          obs::PhaseScope span(obs::Phase::kQuant);
-          sa = quantize_activations(cols, patch, tw, qcols);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kGemm);
-          igemm_u8s8_dequant(out_c, tw, p4, qw.q.data(), qw.row_stride,
-                             qcols, qw.wsum.data(), qw.scale.data(), sa,
-                             yb + p0, pos);
-          if (bias != nullptr) {
-            for (int oc = 0; oc < out_c; ++oc) {
-              add_bias_row(yb + static_cast<int64_t>(oc) * pos + p0, tw,
-                           bias[oc]);
-            }
-          }
-        }
-      }
-    }
-    ws.rewind(scratch);
-    return static_cast<int64_t>(out_c) * pos * patch * n;
-  }
+  // Untiled is one tile of every position.
+  const bool tiled = tile > 0 && tile < pos;
+  const int64_t tile_w = tiled ? tile : pos;
+  const int64_t plane = static_cast<int64_t>(g.in_h) * g.in_w;
   const Workspace::Mark scratch = ws.mark();
-  float* cols = ws.alloc_floats(patch * pos);
-  uint8_t* qcols = ws.alloc<uint8_t>(p4 * pos);
+  uint8_t* planes = ws.alloc<uint8_t>(g.in_c * padded_plane_bytes(g));
+  uint8_t* qcols = ws.alloc<uint8_t>(p4 * tile_w);
   for (int b = 0; b < n; ++b) {
     const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-    {
-      obs::PhaseScope span(obs::Phase::kIm2col);
-      parallel_for(
-          0, g.in_c,
-          [&](int64_t c0, int64_t c1) {
-            im2col_range(xb, g, static_cast<int>(c0), static_cast<int>(c1),
-                         cols);
-          },
-          /*grain=*/1);
-    }
-    float sa;
-    {
-      obs::PhaseScope span(obs::Phase::kQuant);
-      sa = quantize_activations(cols, patch, pos, qcols);
-    }
     float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-    {
-      obs::PhaseScope span(obs::Phase::kGemm);
-      igemm_u8s8_dequant(out_c, pos, p4, qw.q.data(), qw.row_stride, qcols,
-                         qw.wsum.data(), qw.scale.data(), sa, yb, pos);
-      if (bias != nullptr) {
-        for (int oc = 0; oc < out_c; ++oc) {
-          add_bias_row(yb + static_cast<int64_t>(oc) * pos, pos, bias[oc]);
+    // Each sample is its own group: one scale over its input planes.
+    const float sa = quantize_planes(
+        [&](int64_t c) { return xb + c * plane; }, g.in_c, g, planes);
+    for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
+      std::optional<obs::PhaseScope> tile_span;
+      if (tiled) tile_span.emplace(obs::Phase::kTile);
+      const int64_t tw = std::min(tile_w, pos - p0);
+      {
+        obs::PhaseScope span(obs::Phase::kIm2col);
+        lower_tile_u8(planes, 1, g.in_c, g, p0, tw, qcols);
+      }
+      {
+        // The igemm writes its dequantized tile straight into the output
+        // slot (ldy = pos).
+        obs::PhaseScope span(obs::Phase::kGemm);
+        igemm_u8s8_dequant(out_c, tw, p4, qw.q.data(), qw.row_stride, qcols,
+                           qw.wsum.data(), qw.scale.data(), sa, yb + p0,
+                           pos);
+        if (bias != nullptr) {
+          for (int oc = 0; oc < out_c; ++oc) {
+            add_bias_row(yb + static_cast<int64_t>(oc) * pos + p0, tw,
+                         bias[oc]);
+          }
         }
       }
     }
@@ -757,7 +771,9 @@ int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
   const int ok = static_cast<int>(oc_set.size());
   const int patch_k = ck * static_cast<int>(kk);
   const int64_t p4 = int8_align4(patch_k);
-  const int64_t ldc = static_cast<int64_t>(gs) * pos;
+  const bool tiled = tile > 0 && tile < pos;
+  const int64_t tile_w = tiled ? tile : pos;
+  const int64_t plane = static_cast<int64_t>(g.in_h) * g.in_w;
 
   const Workspace::Mark per_group = ws.mark();
   Int8Panel panel;
@@ -776,123 +792,59 @@ int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
       panel = {qdst, wsum, scale};
     }
   }
-  if (tile > 0 && tile < pos) {
-    // Spatially-tiled group: each tile's compacted B matrix is
-    // [patch_k x gs*tw] — every member's gathered tile columns side by
-    // side — quantized per tile and consumed by one igemm whose
-    // dequantized tile output is scattered before the next tile is
-    // lowered.
-    const int64_t ldt = static_cast<int64_t>(gs) * tile;
-    float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldt);
-    uint8_t* qcols = ws.alloc<uint8_t>(p4 * ldt);
-    float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
-    for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-      obs::PhaseScope tile_span(obs::Phase::kTile);
-      const int64_t tw = std::min(tile, pos - p0);
-      const int64_t ldc_t = static_cast<int64_t>(gs) * tw;
-      {
-        obs::PhaseScope span(obs::Phase::kGather);
-        parallel_for(
-            0, gs,
-            [&](int64_t s0, int64_t s1) {
-              for (int64_t s = s0; s < s1; ++s) {
-                const int b = samples[static_cast<size_t>(s)];
-                im2col_gather_pos_ld(
-                    x_base + static_cast<int64_t>(b) * in_floats, g, ch, p0,
-                    p0 + tw, cols + s * tw, ldc_t);
-              }
-            },
-            /*grain=*/1);
-      }
-      float sa;
-      {
-        obs::PhaseScope span(obs::Phase::kQuant);
-        sa = quantize_activations(cols, patch_k, ldc_t, qcols);
-      }
-      {
-        obs::PhaseScope span(obs::Phase::kGemm);
-        igemm_u8s8_dequant(ok, ldc_t, p4, panel.panel, p4, qcols, panel.wsum,
-                           panel.scale, sa, y_sub, ldc_t);
-      }
-      {
-        obs::PhaseScope span(obs::Phase::kScatter);
-        parallel_for(
-            0, gs,
-            [&](int64_t s0, int64_t s1) {
-              for (int64_t s = s0; s < s1; ++s) {
-                const int b = samples[static_cast<size_t>(s)];
-                float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-                for (int oi = 0; oi < ok; ++oi) {
-                  const int oc = oc_set[static_cast<size_t>(oi)];
-                  const float* src =
-                      y_sub + static_cast<int64_t>(oi) * ldc_t + s * tw;
-                  float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
-                  if (bias != nullptr) {
-                    scatter_bias_row(src, dst, tw, bias[oc]);
-                  } else {
-                    std::memcpy(dst, src,
-                                static_cast<size_t>(tw) * sizeof(float));
-                  }
+  // Every member's kept planes, quantized once at the group's scale; each
+  // tile's operand is [p4/4][gs*tw][4] with the members side by side, and
+  // its dequantized output is scattered before the next tile is lowered.
+  const int64_t ldt = static_cast<int64_t>(gs) * tile_w;
+  uint8_t* planes =
+      ws.alloc<uint8_t>(static_cast<int64_t>(gs) * ck * padded_plane_bytes(g));
+  uint8_t* qcols = ws.alloc<uint8_t>(p4 * ldt);
+  float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
+  const float sa = quantize_planes(
+      [&](int64_t i) {
+        const int b = samples[static_cast<size_t>(i / ck)];
+        return x_base + static_cast<int64_t>(b) * in_floats +
+               ch[static_cast<size_t>(i % ck)] * plane;
+      },
+      static_cast<int64_t>(gs) * ck, g, planes);
+  for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
+    std::optional<obs::PhaseScope> tile_span;
+    if (tiled) tile_span.emplace(obs::Phase::kTile);
+    const int64_t tw = std::min(tile_w, pos - p0);
+    const int64_t ldc_t = static_cast<int64_t>(gs) * tw;
+    {
+      obs::PhaseScope span(obs::Phase::kGather);
+      lower_tile_u8(planes, gs, ck, g, p0, tw, qcols);
+    }
+    {
+      obs::PhaseScope span(obs::Phase::kGemm);
+      igemm_u8s8_dequant(ok, ldc_t, p4, panel.panel, p4, qcols, panel.wsum,
+                         panel.scale, sa, y_sub, ldc_t);
+    }
+    {
+      obs::PhaseScope span(obs::Phase::kScatter);
+      parallel_for(
+          0, gs,
+          [&](int64_t s0, int64_t s1) {
+            for (int64_t s = s0; s < s1; ++s) {
+              const int b = samples[static_cast<size_t>(s)];
+              float* yb = y_base + static_cast<int64_t>(b) * out_floats;
+              for (int oi = 0; oi < ok; ++oi) {
+                const int oc = oc_set[static_cast<size_t>(oi)];
+                const float* src =
+                    y_sub + static_cast<int64_t>(oi) * ldc_t + s * tw;
+                float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
+                if (bias != nullptr) {
+                  scatter_bias_row(src, dst, tw, bias[oc]);
+                } else {
+                  std::memcpy(dst, src,
+                              static_cast<size_t>(tw) * sizeof(float));
                 }
               }
-            },
-            /*grain=*/1);
-      }
-    }
-    ws.rewind(per_group);
-    return static_cast<int64_t>(ok) * pos * patch_k * gs;
-  }
-  float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldc);
-  const std::span<const int> all_pos(ids.positions,
-                                     static_cast<size_t>(pos));
-  {
-    obs::PhaseScope span(obs::Phase::kGather);
-    parallel_for(
-        0, gs,
-        [&](int64_t s0, int64_t s1) {
-          for (int64_t s = s0; s < s1; ++s) {
-            const int b = samples[static_cast<size_t>(s)];
-            im2col_gather_ld(x_base + static_cast<int64_t>(b) * in_floats,
-                             g, ch, all_pos, cols + s * pos, ldc);
-          }
-        },
-        /*grain=*/1);
-  }
-  uint8_t* qcols = ws.alloc<uint8_t>(p4 * ldc);
-  float sa;
-  {
-    obs::PhaseScope span(obs::Phase::kQuant);
-    sa = quantize_activations(cols, patch_k, ldc, qcols);
-  }
-  float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldc);
-  {
-    obs::PhaseScope span(obs::Phase::kGemm);
-    igemm_u8s8_dequant(ok, ldc, p4, panel.panel, p4, qcols, panel.wsum,
-                       panel.scale, sa, y_sub, ldc);
-  }
-  {
-    obs::PhaseScope span(obs::Phase::kScatter);
-    parallel_for(
-        0, gs,
-        [&](int64_t s0, int64_t s1) {
-          for (int64_t s = s0; s < s1; ++s) {
-            const int b = samples[static_cast<size_t>(s)];
-            float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-            for (int oi = 0; oi < ok; ++oi) {
-              const int oc = oc_set[static_cast<size_t>(oi)];
-              const float* src =
-                  y_sub + static_cast<int64_t>(oi) * ldc + s * pos;
-              float* dst = yb + static_cast<int64_t>(oc) * pos;
-              if (bias != nullptr) {
-                scatter_bias_row(src, dst, pos, bias[oc]);
-              } else {
-                std::memcpy(dst, src,
-                            static_cast<size_t>(pos) * sizeof(float));
-              }
             }
-          }
-        },
-        /*grain=*/1);
+          },
+          /*grain=*/1);
+    }
   }
   ws.rewind(per_group);
   return static_cast<int64_t>(ok) * pos * patch_k * gs;
@@ -1190,6 +1142,15 @@ size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
   (void)n;
   const int64_t patch = g.patch_rows();
   const int64_t pos = g.out_positions();
+  // Int8 dense path: one sample's quantized input planes plus one u8
+  // operand tile (the igemm writes straight into the output slot and needs
+  // no pack panels).
+  const auto i8_path = [&](int64_t width) {
+    return Workspace::align_up(
+               static_cast<size_t>(g.in_c * padded_plane_bytes(g))) +
+           Workspace::align_up(static_cast<size_t>(int8_align4(patch)) *
+                               width);
+  };
   if (tile > 0 && tile < pos) {
     // Tiled regime: the tile panel + tile output + the GEMM's panels at
     // tile width (gemm_nn_scratch_bytes is monotone nondecreasing in n,
@@ -1201,30 +1162,14 @@ size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
                             sizeof(float)) +
         gemm_nn_scratch_bytes(out_c, static_cast<int>(tile),
                               static_cast<int>(patch));
-    if (int8_regime) {
-      const size_t i8_path =
-          Workspace::align_up(static_cast<size_t>(patch) * tile *
-                              sizeof(float)) +
-          Workspace::align_up(static_cast<size_t>(int8_align4(patch)) *
-                              tile);
-      worst = std::max(worst, i8_path);
-    }
+    if (int8_regime) worst = std::max(worst, i8_path(tile));
     return worst;
   }
   size_t worst = Workspace::align_up(static_cast<size_t>(patch) * pos *
                                      sizeof(float)) +
                  gemm_nn_scratch_bytes(out_c, static_cast<int>(pos),
                                        static_cast<int>(patch));
-  if (int8_regime) {
-    // Int8 dense path: the shared f32 im2col buffer plus the quantized
-    // column block (the igemm writes straight into the output slot and
-    // needs no pack panels).
-    const size_t i8_path =
-        Workspace::align_up(static_cast<size_t>(patch) * pos *
-                            sizeof(float)) +
-        Workspace::align_up(static_cast<size_t>(int8_align4(patch)) * pos);
-    worst = std::max(worst, i8_path);
-  }
+  if (int8_regime) worst = std::max(worst, i8_path(pos));
   return worst;
 }
 
@@ -1266,12 +1211,11 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
     worst = std::max(worst, spatial_path);
   }
   if (int8_regime) {
-    // Int8 channel path: f32 gathered columns + quantized columns + the
-    // dequantized y_sub (no GEMM pack panels). The quantized block can
-    // exceed the f32 path's gemm panels, so it is sized explicitly.
+    // Int8 channel path: every member's quantized input planes + one u8
+    // operand tile + the dequantized y_sub (no GEMM pack panels).
     const size_t i8_path =
-        Workspace::align_up(static_cast<size_t>(patch) * ldc *
-                            sizeof(float)) +
+        Workspace::align_up(static_cast<size_t>(
+            static_cast<int64_t>(gs) * g.in_c * padded_plane_bytes(g))) +
         Workspace::align_up(static_cast<size_t>(int8_align4(patch)) * ldc) +
         Workspace::align_up(static_cast<size_t>(out_c) * ldc *
                             sizeof(float));

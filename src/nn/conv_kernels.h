@@ -312,17 +312,17 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           int64_t out_floats, Workspace& ws,
                           int64_t tile = 0);
 
-// Int8-regime dense batch step: im2col (f32, shared buffer) -> per-sample
-// dynamic activation quantization -> u8xs8 igemm with dequant fused into
-// the store (straight into the output slot) -> bias rows. Same call
+// Int8-regime dense batch step, one sample at a time: the sample's input
+// planes are quantized ONCE at one activation scale (their largest |x|)
+// into padded biased-u8 planes (nn/int8_kernels.h), then each tile of
+// output positions is lowered straight from those planes into the igemm
+// operand, and the u8xs8 igemm writes the dequantized tile into the output
+// slot before the bias rows. No f32 im2col panel exists. Same call
 // contract as conv_batch_dense otherwise. Returns the LOGICAL MACs (the
-// f32-equivalent count, so cost accounting is regime-comparable).
-// `tile` > 0 tiles as in conv_batch_dense. The activation scale is then
-// computed per TILE rather than per tensor (each tile panel is quantized
-// independently), so tiled int8 output is not bitwise identical to the
-// untiled int8 path — it stays within the same relative-error budget
-// against f32 (per-tile scales are at least as tight as the per-tensor
-// one).
+// f32-equivalent count, so cost accounting is regime-comparable). Untiled
+// is one tile of every position: `tile` only sets the operand width, and
+// since every tile quantizes at the same scale, tiled int8 output is
+// bitwise identical to untiled.
 int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
                             const ConvGeom& g, const Int8ConvWeights& qw,
                             int out_c, const float* bias, int n,
@@ -332,14 +332,14 @@ int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
 // Int8-regime mask group, CHANNEL/FILTER masks only (the caller routes
 // groups with spatial positions to the f32 shift-GEMM — a documented
 // mixed-regime fallback). Pipeline: pack int8 kept-filter panel (cached
-// or into the worker slice, like the f32 path) -> f32 im2col gather ->
-// per-group dynamic activation quantization into the VNNI layout ->
-// u8xs8 igemm writing dequantized f32 y_sub -> the f32 scatter. The
-// caller's fused epilogue then applies unchanged to the f32 output.
-// Same invocation regimes as conv_group_masked. Returns logical MACs.
-// `tile` > 0 tiles the channel path over output positions (per-tile
-// activation scales, like conv_batch_dense_i8; f32 gather/scatter and the
-// caller's epilogue are unchanged).
+// or into the worker slice, like the f32 path) -> quantize every member's
+// kept input planes once, at ONE scale per group per step (the largest |x|
+// over those planes) -> per tile of output positions: lower the members'
+// u8 planes side by side into one igemm operand -> u8xs8 igemm writing
+// dequantized f32 y_sub -> the f32 scatter. The caller's fused epilogue
+// then applies unchanged to the f32 output. Same invocation regimes as
+// conv_group_masked. Returns logical MACs. As in conv_batch_dense_i8,
+// untiled is one tile and tiled output is bitwise identical to untiled.
 int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
                              const ConvGeom& g, const Int8ConvWeights& qw,
                              int out_c, const float* bias,
@@ -351,9 +351,9 @@ int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
                              int64_t tile = 0);
 
 // Worst-case arena bytes of one conv_batch_dense call at batch n. With
-// `int8_regime` the bound also covers the int8 dense path (quantized
-// column buffer; the f32 formula is kept in the max so a regime flip
-// after reserve stays safe). `tile` must match the execution call: the
+// `int8_regime` the bound also covers the int8 dense path (one sample's
+// u8 planes plus one u8 operand tile; the f32 formula is kept in the max
+// so a regime flip after reserve stays safe). `tile` must match the execution call: the
 // tiled formulas replace the full [patch x pos] panel with the tile panel
 // + tile output, and gemm_nn_scratch_bytes is monotone in n, so the
 // full-width tile bounds every ragged tail exactly.
@@ -364,7 +364,8 @@ size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
 // Worst-case arena bytes of one conv_group_masked call with a group of
 // `gs` samples, maximized over every mask shape the geometry admits (full
 // index sets; the spatial shift-GEMM path only when the conv preserves
-// the grid AND `spatial_masks`; the int8 channel path when `int8_regime`).
+// the grid AND `spatial_masks`; the int8 channel path — the group's u8
+// planes, one u8 operand tile and y_sub — when `int8_regime`).
 // Monotone in gs, so a batch's worst case over any grouping is the
 // single-group-of-n value (groups run sequentially between rewinds).
 // `tile` must match the execution call; the spatial path never tiles, so

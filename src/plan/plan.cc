@@ -217,9 +217,10 @@ int64_t choose_conv_tile(const ConvGeom& geom, int out_c,
     return t;
   }
   // kAuto. The tile working set per output column is one lowered patch
-  // column plus one output column, both f32 (the int8 path quantizes the
-  // same f32 tile in place, so geometry alone decides — the chosen width
-  // is regime-independent and a set_regime flip never resizes the arena).
+  // column plus one output column, sized at f32 (the int8 operand tile is
+  // a quarter of that, so geometry alone decides — the chosen width is
+  // regime-independent, a set_regime flip never resizes the arena, and
+  // int8 output does not depend on the width at all).
   const int64_t patch = static_cast<int64_t>(geom.in_c) * geom.k_h * geom.k_w;
   const int64_t col_bytes = (patch + out_c) * 4;
   if (pos < kTileMinPositions) return 0;           // small grids: not worth it

@@ -92,8 +92,9 @@ const char* op_kind_name(OpKind kind);
 
 // Numeric execution regime of a compiled plan. kF32 is the bitwise
 // reference regime; kInt8 runs conv steps through the quantized kernels
-// (per-output-channel symmetric weights, per-tensor dynamic activations,
-// u8xs8->s32 igemm with dequant folded into the fused epilogue's input).
+// (per-output-channel symmetric weights, dynamic activations at one scale
+// per mask group per step, u8xs8->s32 igemm with dequant folded into the
+// fused epilogue's input).
 // Non-conv steps (pool, linear, shortcut, gates) always execute in f32,
 // as do spatially-masked conv groups (the shift-GEMM fallback): int8 is
 // a per-conv-step regime, not a whole-graph datatype change.
@@ -141,7 +142,9 @@ const char* coarsen_mode_name(CoarsenMode mode);
 // are stored before the next tile is lowered, making im2col scratch
 // O(patch x tile). Tiling splits only independent GEMM output columns,
 // so f32 output (dense and grouped) is bitwise identical to the untiled
-// path; int8 tiles quantize per tile (same relative-error budget vs f32).
+// path; int8 quantizes a step's kept input planes once, at one scale per
+// mask group, and lowers every tile from them, so tiled int8 output is
+// bitwise identical to untiled int8 too.
 
 enum class TileMode {
   kOff,    // never tile

@@ -139,9 +139,19 @@ void channel_mean_nchw_into(const Tensor& x, float* out) {
   const float* px = x.data();
   for (int i = 0; i < n * c; ++i) {
     const float* plane = px + static_cast<int64_t>(i) * hw;
-    double acc = 0.0;
-    for (int64_t j = 0; j < hw; ++j) acc += plane[j];
-    out[i] = static_cast<float>(acc / static_cast<double>(hw));
+    // Eight independent double chains (chain l sums elements l, l+8, ...;
+    // the tail continues from chain 0) hide the add latency that one
+    // serial chain pays per element. They combine in one fixed tree, so
+    // every build sums in the same order.
+    double acc[8] = {};
+    int64_t j = 0;
+    for (; j + 8 <= hw; j += 8) {
+      for (int l = 0; l < 8; ++l) acc[l] += plane[j + l];
+    }
+    for (int l = 0; j < hw; ++j, ++l) acc[l] += plane[j];
+    const double sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                       ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    out[i] = static_cast<float>(sum / static_cast<double>(hw));
   }
 }
 
@@ -192,18 +202,11 @@ std::vector<int> argmax_rows(const Tensor& logits) {
   return out;
 }
 
-// The allocating variants are thin wrappers over the _into ones so there
-// is exactly one selection algorithm — the hot-path bitwise-parity
-// contract (select_kept vs select_kept_into) depends on that.
+// The allocating variant is a thin wrapper over the _into one so there is
+// exactly one selection algorithm.
 std::vector<int> topk_indices(std::span<const float> values, int k) {
   std::vector<int> scratch, out;
   topk_indices_into(values, k, scratch, out);
-  return out;
-}
-
-std::vector<int> bottomk_indices(std::span<const float> values, int k) {
-  std::vector<int> scratch, out;
-  bottomk_indices_into(values, k, scratch, out);
   return out;
 }
 
@@ -220,34 +223,13 @@ void topk_indices_into(std::span<const float> values, int k,
     return a < b;  // deterministic tie-break
   };
   // nth_element (O(n)) + sort of the k prefix beats partial_sort's
-  // O(n log k) for the attention-sized inputs of the gate hot path; the
-  // comparator is a strict total order, so the selected set — and after
-  // the prefix sort, the exact output — matches the allocating variant.
+  // O(n log k); the comparator is a strict total order, so the selected
+  // set — and after the prefix sort, the exact output — is unique.
   if (k > 0 && k < static_cast<int>(scratch.size())) {
     std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
                      scratch.end(), greater);
   }
   std::sort(scratch.begin(), scratch.begin() + k, greater);
-  out.assign(scratch.begin(), scratch.begin() + k);
-}
-
-void bottomk_indices_into(std::span<const float> values, int k,
-                          std::vector<int>& scratch, std::vector<int>& out) {
-  AD_CHECK(k >= 0 && k <= static_cast<int>(values.size()))
-      << " bottomk k=" << k << " n=" << values.size();
-  scratch.resize(values.size());
-  std::iota(scratch.begin(), scratch.end(), 0);
-  auto less = [&](int a, int b) {
-    if (values[static_cast<size_t>(a)] != values[static_cast<size_t>(b)]) {
-      return values[static_cast<size_t>(a)] < values[static_cast<size_t>(b)];
-    }
-    return a < b;
-  };
-  if (k > 0 && k < static_cast<int>(scratch.size())) {
-    std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
-                     scratch.end(), less);
-  }
-  std::sort(scratch.begin(), scratch.begin() + k, less);
   out.assign(scratch.begin(), scratch.begin() + k);
 }
 

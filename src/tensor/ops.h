@@ -54,15 +54,11 @@ std::vector<int> argmax_rows(const Tensor& logits);
 // Indices of the k largest values (descending by value, ties -> lowest
 // index first, deterministic). Requires 0 <= k <= values.size().
 std::vector<int> topk_indices(std::span<const float> values, int k);
-// Indices of the k smallest values (ascending, deterministic).
-std::vector<int> bottomk_indices(std::span<const float> values, int k);
-// Reusable-buffer variants: `scratch` and `out` keep their capacity across
-// calls, so a steady-shape caller stops allocating after warm-up. Results
-// are identical to the allocating variants.
+// Reusable-buffer variant: `scratch` and `out` keep their capacity across
+// calls, so a steady-shape caller stops allocating after warm-up. Result
+// identical to topk_indices.
 void topk_indices_into(std::span<const float> values, int k,
                        std::vector<int>& scratch, std::vector<int>& out);
-void bottomk_indices_into(std::span<const float> values, int k,
-                          std::vector<int>& scratch, std::vector<int>& out);
 
 // --- classification helpers ---
 // Row-wise softmax of a [N, K] tensor.

@@ -2,7 +2,10 @@
 // (Eq. 3 / Eq. 4), including the ordering variants of Fig. 2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "base/error.h"
 #include "core/attention.h"
@@ -118,6 +121,59 @@ TEST(Mask, AttentionAndInverseArePerfectlyOpposed) {
   all.insert(bottom.begin(), bottom.end());
   EXPECT_EQ(all.size(), 10u);
   EXPECT_EQ(top.size() + bottom.size(), 10u);
+}
+
+// The sort-based definition of each order: rank every index (value
+// descending for attention, ascending for inverse, ties to the lower
+// index), keep the first k, return them ascending. kRandom keeps the first
+// k of the same permutation draw.
+std::vector<int> reference_kept(const std::vector<float>& att, int k,
+                                MaskOrder order, Rng& rng) {
+  const int n = static_cast<int>(att.size());
+  std::vector<int> idx;
+  if (order == MaskOrder::kRandom) {
+    idx = rng.permutation(n);
+  } else {
+    idx.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) idx[static_cast<size_t>(i)] = i;
+    const bool top = order == MaskOrder::kAttention;
+    std::stable_sort(idx.begin(), idx.end(), [&](int a, int b) {
+      const float va = att[static_cast<size_t>(a)];
+      const float vb = att[static_cast<size_t>(b)];
+      return top ? va > vb : va < vb;
+    });
+  }
+  idx.resize(static_cast<size_t>(k));
+  std::sort(idx.begin(), idx.end());
+  return idx;
+}
+
+TEST(Mask, SelectionMatchesSortReferenceUnderTies) {
+  Rng data_rng(31);
+  for (const int n : {1, 4, 16, 1024}) {
+    // Post-ReLU-like values on a coarse grid: about half exact zeros and
+    // many exact ties among the rest.
+    std::vector<float> att(static_cast<size_t>(n));
+    for (float& v : att) {
+      v = std::max(0.f, std::round(static_cast<float>(data_rng.normal()) *
+                                   4.f) / 4.f);
+    }
+    for (const int k : {1, n - 1, n}) {
+      if (k < 1) continue;
+      // kept_count(n, k_drop / n) == k for these exact ratios.
+      const float drop =
+          static_cast<float>(n - k) / static_cast<float>(n);
+      ASSERT_EQ(kept_count(n, drop), k);
+      for (const MaskOrder order : {MaskOrder::kAttention, MaskOrder::kRandom,
+                                    MaskOrder::kInverseAttention}) {
+        Rng rng(static_cast<uint64_t>(n * 7 + k));
+        Rng ref_rng = rng;
+        const auto got = select_kept(att, drop, order, rng);
+        EXPECT_EQ(got, reference_kept(att, k, order, ref_rng))
+            << mask_order_name(order) << " n=" << n << " k=" << k;
+      }
+    }
+  }
 }
 
 TEST(Mask, KeptToMaskExpandsCorrectly) {

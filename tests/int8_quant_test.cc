@@ -94,9 +94,11 @@ TEST(Int8Quant, ActivationRoundTripWithinHalfScale) {
   const auto b = random_vec(static_cast<size_t>(k * n), rng);
   const int64_t k4 = nn::int8_align4(k);
   std::vector<uint8_t> qb(static_cast<size_t>(k4 * n), 0);
-  const float sa = nn::quantize_activations(b.data(), k, n, qb.data());
   float maxabs = 0.f;
   for (const float x : b) maxabs = std::max(maxabs, std::abs(x));
+  EXPECT_EQ(nn::max_abs(b.data(), k * n), maxabs);
+  const float sa =
+      nn::quantize_activations_scalar(b.data(), k, n, maxabs, qb.data());
   EXPECT_NEAR(sa, maxabs / 127.f, 1e-7f * maxabs);
   // Decode the VNNI layout: row 4*kq+t of column j lives at
   // qb[(kq*n + j)*4 + t], biased by 128.

@@ -413,50 +413,74 @@ TEST(InferencePlan, ArenaBytesScaleWithBatchAndCoverEveryBatchSize) {
 TEST(InferencePlan, ForcedTileBitwiseAndZeroGrowthsAcrossModels) {
   // --tile=96 forces tiling even at test-scale resolutions where auto
   // declines (96 divides none of the per-layer position counts, so every
-  // sweep exercises a ragged tail tile). Tiled output must stay bitwise
-  // identical to the untiled plan, and the tile-aware arena sizing must
-  // stay exact from the first pass.
+  // sweep exercises a ragged tail tile). In both regimes, dense and with
+  // channel-pruning gates (mask groups), tiled output must stay bitwise
+  // identical to the untiled plan — int8 quantizes every tile of a step at
+  // the same scale — and the tile-aware arena sizing must stay exact from
+  // the first pass.
   const int batch = 2;
   for (const Case& c : kCases) {
-    Rng rng(17);
-    Tensor x = Tensor::randn({batch, 3, c.image, c.image}, rng);
+    for (const plan::NumericRegime regime :
+         {plan::NumericRegime::kF32, plan::NumericRegime::kInt8}) {
+      for (const bool pruned : {false, true}) {
+        const std::string label = std::string(c.model) + " " +
+                                  plan::regime_name(regime) +
+                                  (pruned ? " pruned" : " dense");
+        Rng rng(17);
+        Tensor x = Tensor::randn({batch, 3, c.image, c.image}, rng);
 
-    auto run_once = [&](models::ConvNet& net, nn::ExecutionContext& ctx) {
-      ctx.begin_pass();
-      Tensor staged = ctx.alloc(x.shape());
-      std::memcpy(staged.data(), x.data(),
-                  static_cast<size_t>(x.size()) * sizeof(float));
-      return net.forward(staged, ctx);
-    };
+        auto run_once = [&](models::ConvNet& net, nn::ExecutionContext& ctx) {
+          ctx.begin_pass();
+          Tensor staged = ctx.alloc(x.shape());
+          std::memcpy(staged.data(), x.data(),
+                      static_cast<size_t>(x.size()) * sizeof(float));
+          return net.forward(staged, ctx);
+        };
+        auto build_in_regime = [&] {
+          auto net = build(c);
+          net->set_numeric_regime(regime);
+          return net;
+        };
+        const auto prune = [&](const models::ConvNet& net) {
+          return core::PruneSettings::uniform(net.num_blocks(),
+                                              pruned ? 0.5f : 0.f, 0.f);
+        };
 
-    std::vector<float> ref;
-    {
-      auto net = build(c);
-      net->set_tile_policy({plan::TileMode::kOff, 0});
-      nn::ExecutionContext ctx;
-      net->inference_plan(3, c.image, c.image).reserve(ctx.workspace(), batch);
-      Tensor y = run_once(*net, ctx);
-      ref.assign(y.data(), y.data() + y.size());
-    }
+        std::vector<float> ref;
+        {
+          auto net = build_in_regime();
+          core::DynamicPruningEngine engine(*net, prune(*net));
+          net->set_tile_policy({plan::TileMode::kOff, 0});
+          nn::ExecutionContext ctx;
+          net->inference_plan(3, c.image, c.image)
+              .reserve(ctx.workspace(), batch);
+          Tensor y = run_once(*net, ctx);
+          ref.assign(y.data(), y.data() + y.size());
+          engine.remove();
+        }
 
-    auto net = build(c);
-    net->set_tile_policy({plan::TileMode::kFixed, 96});
-    plan::InferencePlan& plan = net->inference_plan(3, c.image, c.image);
-    bool tiled = false;
-    for (const plan::PlanOp& op : plan.ops()) tiled |= op.tile_pos > 0;
-    EXPECT_TRUE(tiled) << c.model;
-    nn::ExecutionContext ctx;
-    plan.reserve(ctx.workspace(), batch);
-    const int64_t grows = ctx.workspace().grow_count();
-    for (int pass = 0; pass < 3; ++pass) {
-      Tensor y = run_once(*net, ctx);
-      ASSERT_EQ(static_cast<size_t>(y.size()), ref.size());
-      EXPECT_EQ(std::memcmp(ref.data(), y.data(),
-                            ref.size() * sizeof(float)),
-                0)
-          << c.model << " pass " << pass;
-      EXPECT_EQ(ctx.workspace().grow_count(), grows)
-          << c.model << " pass " << pass;
+        auto net = build_in_regime();
+        core::DynamicPruningEngine engine(*net, prune(*net));
+        net->set_tile_policy({plan::TileMode::kFixed, 96});
+        plan::InferencePlan& plan = net->inference_plan(3, c.image, c.image);
+        bool tiled = false;
+        for (const plan::PlanOp& op : plan.ops()) tiled |= op.tile_pos > 0;
+        EXPECT_TRUE(tiled) << label;
+        nn::ExecutionContext ctx;
+        plan.reserve(ctx.workspace(), batch);
+        const int64_t grows = ctx.workspace().grow_count();
+        for (int pass = 0; pass < 3; ++pass) {
+          Tensor y = run_once(*net, ctx);
+          ASSERT_EQ(static_cast<size_t>(y.size()), ref.size());
+          EXPECT_EQ(std::memcmp(ref.data(), y.data(),
+                                ref.size() * sizeof(float)),
+                    0)
+              << label << " pass " << pass;
+          EXPECT_EQ(ctx.workspace().grow_count(), grows)
+              << label << " pass " << pass;
+        }
+        engine.remove();
+      }
     }
   }
 }
@@ -464,8 +488,8 @@ TEST(InferencePlan, ForcedTileBitwiseAndZeroGrowthsAcrossModels) {
 TEST(InferencePlan, TiledArenaExactAt224InBothRegimes) {
   // The 224x224 workload class: auto tiling engages, shrinks the arena
   // versus --tile=off, keeps the sizing exact (reserve => zero growths
-  // from the first pass) in f32 AND int8, and the tiled f32 logits stay
-  // bitwise identical to the untiled plan.
+  // from the first pass), and the tiled logits stay bitwise identical to
+  // the untiled plan — in f32 AND int8.
   const int image = 224, batch = 2;
   const Case c{"small_cnn", image, 1.0f};
   Rng rng(19);
@@ -479,18 +503,10 @@ TEST(InferencePlan, TiledArenaExactAt224InBothRegimes) {
     return net.forward(staged, ctx);
   };
 
-  std::vector<float> untiled_ref;
-  size_t untiled_arena = 0;
-  {
-    auto net = build(c);
-    net->set_tile_policy({plan::TileMode::kOff, 0});
-    plan::InferencePlan& plan = net->inference_plan(3, image, image);
-    untiled_arena = plan.arena_bytes(batch);
-    nn::ExecutionContext ctx;
-    plan.reserve(ctx.workspace(), batch);
-    Tensor y = run_once(*net, ctx);
-    untiled_ref.assign(y.data(), y.data() + y.size());
-  }
+  auto untiled = build(c);
+  untiled->set_tile_policy({plan::TileMode::kOff, 0});
+  plan::InferencePlan& untiled_plan = untiled->inference_plan(3, image, image);
+  const size_t untiled_arena = untiled_plan.arena_bytes(batch);
 
   auto net = build(c);
   net->set_tile_policy({plan::TileMode::kAuto, 0});
@@ -503,6 +519,15 @@ TEST(InferencePlan, TiledArenaExactAt224InBothRegimes) {
 
   for (const plan::NumericRegime regime :
        {plan::NumericRegime::kF32, plan::NumericRegime::kInt8}) {
+    const char* name = plan::regime_name(regime);
+    std::vector<float> untiled_ref;
+    {
+      untiled->set_numeric_regime(regime);
+      nn::ExecutionContext ctx;
+      untiled_plan.reserve(ctx.workspace(), batch);
+      Tensor y = run_once(*untiled, ctx);
+      untiled_ref.assign(y.data(), y.data() + y.size());
+    }
     net->set_numeric_regime(regime);
     nn::ExecutionContext ctx;
     plan.reserve(ctx.workspace(), batch);
@@ -511,15 +536,13 @@ TEST(InferencePlan, TiledArenaExactAt224InBothRegimes) {
       Tensor y = run_once(*net, ctx);
       ASSERT_EQ(y.dim(0), batch);
       EXPECT_EQ(ctx.workspace().grow_count(), grows)
-          << (regime == plan::NumericRegime::kF32 ? "f32" : "int8")
-          << " pass " << pass;
-      if (regime == plan::NumericRegime::kF32) {
-        ASSERT_EQ(static_cast<size_t>(y.size()), untiled_ref.size());
-        EXPECT_EQ(std::memcmp(untiled_ref.data(), y.data(),
-                              untiled_ref.size() * sizeof(float)),
-                  0)
-            << "tiled f32 must match untiled bitwise, pass " << pass;
-      }
+          << name << " pass " << pass;
+      ASSERT_EQ(static_cast<size_t>(y.size()), untiled_ref.size());
+      EXPECT_EQ(std::memcmp(untiled_ref.data(), y.data(),
+                            untiled_ref.size() * sizeof(float)),
+                0)
+          << "tiled " << name << " must match untiled bitwise, pass "
+          << pass;
     }
   }
 }

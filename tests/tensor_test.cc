@@ -181,12 +181,6 @@ TEST(Ops, TopkIndicesDescending) {
   EXPECT_EQ(top3, (std::vector<int>{1, 3, 2}));  // ties by lower index first
 }
 
-TEST(Ops, BottomkIndicesAscending) {
-  const std::vector<float> v = {0.1f, 0.9f, 0.5f, 0.1f, 0.2f};
-  const auto bot3 = ops::bottomk_indices(v, 3);
-  EXPECT_EQ(bot3, (std::vector<int>{0, 3, 4}));
-}
-
 TEST(Ops, TopkEdgeCases) {
   const std::vector<float> v = {1.f, 2.f};
   EXPECT_TRUE(ops::topk_indices(v, 0).empty());

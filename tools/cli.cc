@@ -740,18 +740,22 @@ int cmd_plan_dump(const std::vector<std::string>& args) {
         "so the masked phases show up\n");
   }
   const int passes = flags.get_int("passes");
-  run_traced_passes(*net, size, batch, flags.get_int("distinct"), passes,
-                    static_cast<uint64_t>(flags.get_int("seed")));
+  // run_traced_passes recompiles the plan (set_training invalidates it),
+  // so the reports read the plan it returns, not the one printed above.
+  plan::InferencePlan& traced =
+      run_traced_passes(*net, size, batch, flags.get_int("distinct"), passes,
+                        static_cast<uint64_t>(flags.get_int("seed")));
   tracer.disable();
   if (!obs::thread_counters().available()) {
     std::printf(
         "profile: hardware counters unavailable (container or "
         "perf_event_paranoid > 2?); timing columns only\n");
   }
-  print_profile_report(plan, passes);
+  print_profile_report(traced, passes);
   if (engine != nullptr) {
-    print_coarsen_report(*net, plan, size, batch, flags.get_int("distinct"),
-                         passes, static_cast<uint64_t>(flags.get_int("seed")));
+    print_coarsen_report(*net, traced, size, batch,
+                         flags.get_int("distinct"), passes,
+                         static_cast<uint64_t>(flags.get_int("seed")));
   }
   return 0;
 }
