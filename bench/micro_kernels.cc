@@ -8,6 +8,7 @@
 // tracked across PRs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "base/rng.h"
@@ -149,6 +150,105 @@ BENCHMARK(BM_ConvSpatialMasked)
     ->Args({64, 0})
     ->Args({64, 50})
     ->Args({64, 80});
+
+// One spatial mask group at two vgg16-w0.25 shapes — conv1 (16->16 at
+// 32x32, 8 kept channels, 717 kept positions) and conv8 (128->128 at 4x4,
+// 64 kept channels, 11 kept positions) — with range(1) members. The pair
+// times the fused group kernel against the old algorithm, member-by-member
+// conv_sample_masked (a stacked-offset GEMM plus a scalar scatter-add).
+struct SpatialGroupShape {
+  int ch, hw, kept_ch, kept_pos;
+};
+constexpr SpatialGroupShape kSpatialGroupShapes[] = {{16, 32, 8, 717},
+                                                     {128, 4, 64, 11}};
+
+// `count` ascending distinct indices of [0, n).
+std::vector<int> random_subset(int count, int n, Rng& rng) {
+  std::vector<int> all(static_cast<size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(all[static_cast<size_t>(i)],
+              all[rng.next_below(static_cast<uint64_t>(i) + 1)]);
+  }
+  all.resize(static_cast<size_t>(count));
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+struct SpatialGroupRig {
+  ConvGeom g;
+  std::vector<float> w, x, y;
+  std::vector<int> iota, samples;
+  nn::ConvRuntimeMask mask;
+  Workspace ws;
+
+  SpatialGroupRig(const SpatialGroupShape& s, int members)
+      : g{s.ch, s.hw, s.hw, 3, 3, 1, 1} {
+    Rng rng(8);
+    w.resize(static_cast<size_t>(s.ch) * g.patch_rows());
+    for (float& v : w) v = static_cast<float>(rng.normal());
+    x.resize(static_cast<size_t>(members) * in_floats());
+    for (float& v : x) v = static_cast<float>(rng.normal());
+    y.resize(static_cast<size_t>(members) * in_floats());
+    iota.resize(
+        static_cast<size_t>(std::max<int64_t>(s.ch, g.out_positions())));
+    std::iota(iota.begin(), iota.end(), 0);
+    samples.resize(static_cast<size_t>(members));
+    std::iota(samples.begin(), samples.end(), 0);
+    mask.channels = random_subset(s.kept_ch, s.ch, rng);
+    mask.positions = random_subset(s.kept_pos, s.hw * s.hw, rng);
+  }
+  int64_t in_floats() const {  // == out_floats: in_c == out_c, same grid
+    return static_cast<int64_t>(g.in_c) * g.in_h * g.in_w;
+  }
+  nn::ConvIdentityIndices ids() const {
+    return {iota.data(), iota.data(), iota.data()};
+  }
+};
+
+void BM_SpatialGroupFused(benchmark::State& state) {
+  SpatialGroupRig rig(kSpatialGroupShapes[state.range(0)],
+                      static_cast<int>(state.range(1)));
+  nn::WeightPanelCache cache;
+  int64_t macs = 0;
+  for (auto _ : state) {
+    std::fill(rig.y.begin(), rig.y.end(), 0.f);
+    macs = nn::conv_group_masked(rig.x.data(), rig.in_floats(), rig.g,
+                                 rig.w.data(), rig.g.in_c, nullptr, rig.mask,
+                                 rig.samples, rig.ids(), &cache, rig.y.data(),
+                                 rig.in_floats(), rig.ws);
+    benchmark::DoNotOptimize(rig.y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * macs);
+}
+
+void BM_SpatialGroupPerSample(benchmark::State& state) {
+  SpatialGroupRig rig(kSpatialGroupShapes[state.range(0)],
+                      static_cast<int>(state.range(1)));
+  int64_t macs = 0;
+  for (auto _ : state) {
+    std::fill(rig.y.begin(), rig.y.end(), 0.f);
+    macs = 0;
+    for (int b : rig.samples) {
+      macs += nn::conv_sample_masked(
+          rig.x.data() + b * rig.in_floats(), rig.g, rig.w.data(),
+          rig.g.in_c, nullptr, rig.mask, rig.ids(),
+          rig.y.data() + b * rig.in_floats(), rig.ws);
+    }
+    benchmark::DoNotOptimize(rig.y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * macs);
+}
+BENCHMARK(BM_SpatialGroupFused)
+    ->Args({0, 1})
+    ->Args({0, 8})
+    ->Args({1, 1})
+    ->Args({1, 8});
+BENCHMARK(BM_SpatialGroupPerSample)
+    ->Args({0, 1})
+    ->Args({0, 8})
+    ->Args({1, 1})
+    ->Args({1, 8});
 
 // Full gate forward (attention + top-k + masking): the bookkeeping cost
 // dynamic pruning pays per layer. Compare against BM_ConvDense to see it

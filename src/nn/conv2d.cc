@@ -1,6 +1,8 @@
 #include "nn/conv2d.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <numeric>
 
 #include "base/error.h"
@@ -39,6 +41,15 @@ int64_t Conv2d::dense_macs_per_sample(int in_h, int in_w) const {
   return static_cast<int64_t>(out_c_) * g.out_positions() * g.patch_rows();
 }
 
+namespace {
+
+bool strictly_increasing(const std::vector<int>& v) {
+  return std::adjacent_find(v.begin(), v.end(), std::greater_equal<int>()) ==
+         v.end();
+}
+
+}  // namespace
+
 void Conv2d::check_masks(std::span<const ConvRuntimeMask> masks) const {
   for (const auto& m : masks) {
     for (int c : m.channels) {
@@ -47,9 +58,15 @@ void Conv2d::check_masks(std::span<const ConvRuntimeMask> masks) const {
     for (int c : m.out_channels) {
       AD_CHECK(c >= 0 && c < out_c_) << " runtime mask out channel " << c;
     }
-    AD_CHECK(std::is_sorted(m.channels.begin(), m.channels.end()));
-    AD_CHECK(std::is_sorted(m.positions.begin(), m.positions.end()));
-    AD_CHECK(std::is_sorted(m.out_channels.begin(), m.out_channels.end()));
+    // Strictly increasing: a duplicate index would be gathered twice by
+    // the channel paths but fed once through the spatial inverse table.
+    AD_CHECK(strictly_increasing(m.channels)) << " runtime mask channels";
+    AD_CHECK(strictly_increasing(m.positions)) << " runtime mask positions";
+    AD_CHECK(strictly_increasing(m.out_channels))
+        << " runtime mask out channels";
+    // The upper bound needs the input grid, so the kernels check it.
+    AD_CHECK(m.positions.empty() || m.positions.front() >= 0)
+        << " runtime mask position " << m.positions.front();
   }
 }
 

@@ -221,7 +221,9 @@ int64_t conv_sample_masked(const float* xb, const ConvGeom& g, const float* w,
     // the same function densely.
     AD_CHECK(g.stride == 1 && oh == h && ow == wd)
         << " spatial runtime mask requires a grid-preserving Conv2d";
-    AD_CHECK_LE(m.positions.back(), static_cast<int>(pos) - 1);
+    AD_CHECK(m.positions.front() >= 0 &&
+             m.positions.back() < static_cast<int>(pos))
+        << " spatial runtime mask position out of range";
     const int pk = static_cast<int>(m.positions.size());
 
     // Gather kept input values: B[ci][j] = x[ch[ci], positions[j]].
@@ -307,8 +309,8 @@ void quantize_conv_weights(const float* w, int out_c, int in_c, int kk,
 
 void WeightPanelCache::prepare(int out_c, int in_c, int kk,
                                bool int8_regime) {
-  // Both f32 layouts top out at the full weight size; reserve the
-  // kept-set copies too, so a runtime pack touches no allocator.
+  // The f32 panel tops out at the full weight size; reserve the kept-set
+  // copies too, so a runtime pack touches no allocator.
   // Idempotent: a repeat call on already-sized ways keeps warm panels.
   const size_t full = static_cast<size_t>(out_c) * in_c * kk;
   const size_t qrow =
@@ -336,16 +338,15 @@ void WeightPanelCache::prepare(int out_c, int in_c, int kk,
 
 namespace {
 
-// FNV-1a over the kept sets + layout + regime: the identity of a panel,
-// used by the evicted-key ring to tell capacity misses from cold ones.
+// FNV-1a over the kept sets + regime: the identity of a panel, used by
+// the evicted-key ring to tell capacity misses from cold ones.
 uint64_t panel_key_hash(std::span<const int> ch, std::span<const int> oc,
-                        bool spatial_layout, bool is_int8) {
+                        bool is_int8) {
   uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  mix(spatial_layout ? 1u : 0u);
   mix(is_int8 ? 2u : 3u);
   mix(static_cast<uint64_t>(ch.size()));
   for (int c : ch) mix(static_cast<uint64_t>(static_cast<uint32_t>(c)));
@@ -356,11 +357,10 @@ uint64_t panel_key_hash(std::span<const int> ch, std::span<const int> oc,
 
 // Index of the way holding this exact panel identity, or -1.
 int find_way(WeightPanelCache& cache, std::span<const int> ch,
-             std::span<const int> oc, bool spatial_layout, bool is_int8) {
+             std::span<const int> oc, bool is_int8) {
   for (int i = 0; i < WeightPanelCache::kWays; ++i) {
     const WeightPanelCache::Entry& e = cache.ways[i];
-    if (e.valid && e.spatial_layout == spatial_layout &&
-        e.is_int8 == is_int8 &&
+    if (e.valid && e.is_int8 == is_int8 &&
         std::equal(ch.begin(), ch.end(), e.channels.begin(),
                    e.channels.end()) &&
         std::equal(oc.begin(), oc.end(), e.out_channels.begin(),
@@ -406,8 +406,8 @@ WeightPanelCache::Entry& take_miss_way(WeightPanelCache& cache,
   WeightPanelCache::Entry& e = cache.ways[victim];
   if (e.valid) {
     cache.evictions.add(1);
-    cache.evicted_keys[cache.evict_pos] = panel_key_hash(
-        e.channels, e.out_channels, e.spatial_layout, e.is_int8);
+    cache.evicted_keys[cache.evict_pos] =
+        panel_key_hash(e.channels, e.out_channels, e.is_int8);
     cache.evict_pos = (cache.evict_pos + 1) % WeightPanelCache::kEvictRing;
   }
   return e;
@@ -417,64 +417,44 @@ WeightPanelCache::Entry& take_miss_way(WeightPanelCache& cache,
 
 void pack_weight_panel_into(const float* w, int in_c, int kk,
                             std::span<const int> ch, std::span<const int> oc,
-                            bool spatial_layout, float* dst_base) {
+                            float* dst_base) {
+  // panel[oi][ci*kk + t] = w[oc[oi], ch[ci], t]
   const int ck = static_cast<int>(ch.size());
   const int ok = static_cast<int>(oc.size());
-  if (!spatial_layout) {
-    // panel[oi][ci*kk + t] = w[oc[oi], ch[ci], t]
-    const int patch_k = ck * kk;
-    for (int oi = 0; oi < ok; ++oi) {
-      const float* src = w + static_cast<int64_t>(oc[static_cast<size_t>(
-                                 oi)]) *
-                                 in_c * kk;
-      float* dst = dst_base + static_cast<int64_t>(oi) * patch_k;
-      for (int ci = 0; ci < ck; ++ci) {
-        const float* block =
-            src + static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * kk;
-        std::copy(block, block + kk, dst + static_cast<int64_t>(ci) * kk);
-      }
-    }
-  } else {
-    // panel[(t*ok + oi)][ci] = w[oc[oi], ch[ci], t] — the kernel-offset
-    // stacked shift-GEMM matrix.
-    for (int64_t off = 0; off < kk; ++off) {
-      for (int oi = 0; oi < ok; ++oi) {
-        const float* src =
-            w +
-            static_cast<int64_t>(oc[static_cast<size_t>(oi)]) * in_c * kk +
-            off;
-        float* dst = dst_base + (off * ok + oi) * ck;
-        for (int ci = 0; ci < ck; ++ci) {
-          dst[ci] = src[static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * kk];
-        }
-      }
+  const int patch_k = ck * kk;
+  for (int oi = 0; oi < ok; ++oi) {
+    const float* src =
+        w + static_cast<int64_t>(oc[static_cast<size_t>(oi)]) * in_c * kk;
+    float* dst = dst_base + static_cast<int64_t>(oi) * patch_k;
+    for (int ci = 0; ci < ck; ++ci) {
+      const float* block =
+          src + static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * kk;
+      std::copy(block, block + kk, dst + static_cast<int64_t>(ci) * kk);
     }
   }
 }
 
 const float* pack_weight_panel(const float* w, int in_c, int kk,
                                std::span<const int> ch,
-                               std::span<const int> oc, bool spatial_layout,
+                               std::span<const int> oc,
                                WeightPanelCache& cache) {
   const int ck = static_cast<int>(ch.size());
   const int ok = static_cast<int>(oc.size());
-  const int wi = find_way(cache, ch, oc, spatial_layout, /*is_int8=*/false);
+  const int wi = find_way(cache, ch, oc, /*is_int8=*/false);
   if (wi >= 0) {
     cache.hits.add(1);
     cache.ways[wi].stamp = ++cache.clock;
     return cache.ways[wi].panel.data();
   }
-  WeightPanelCache::Entry& e = take_miss_way(
-      cache, panel_key_hash(ch, oc, spatial_layout, /*is_int8=*/false));
+  WeightPanelCache::Entry& e =
+      take_miss_way(cache, panel_key_hash(ch, oc, /*is_int8=*/false));
   // Callers that reserved their plan arrive pre-sized; unreserved ad-hoc
   // paths grow the way here once and converge, like the arena.
   const size_t needed = static_cast<size_t>(ok) * ck * kk;
   if (e.panel.size() < needed) e.panel.resize(needed);
-  pack_weight_panel_into(w, in_c, kk, ch, oc, spatial_layout,
-                         e.panel.data());
+  pack_weight_panel_into(w, in_c, kk, ch, oc, e.panel.data());
   e.channels.assign(ch.begin(), ch.end());
   e.out_channels.assign(oc.begin(), oc.end());
-  e.spatial_layout = spatial_layout;
   e.is_int8 = false;
   e.valid = true;
   e.stamp = ++cache.clock;
@@ -518,17 +498,15 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
                                WeightPanelCache& cache) {
   const int ck = static_cast<int>(ch.size());
   const int ok = static_cast<int>(oc.size());
-  const int wi = find_way(cache, ch, oc, /*spatial_layout=*/false,
-                          /*is_int8=*/true);
+  const int wi = find_way(cache, ch, oc, /*is_int8=*/true);
   if (wi >= 0) {
     cache.hits.add(1);
     WeightPanelCache::Entry& e = cache.ways[wi];
     e.stamp = ++cache.clock;
     return {e.qpanel.data(), e.qwsum.data(), e.qscale.data()};
   }
-  WeightPanelCache::Entry& e = take_miss_way(
-      cache,
-      panel_key_hash(ch, oc, /*spatial_layout=*/false, /*is_int8=*/true));
+  WeightPanelCache::Entry& e =
+      take_miss_way(cache, panel_key_hash(ch, oc, /*is_int8=*/true));
   const size_t needed = static_cast<size_t>(ok) *
                         int8_align4(static_cast<int64_t>(ck) * kk);
   if (e.qpanel.size() < needed) e.qpanel.resize(needed);
@@ -540,7 +518,6 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
                             e.qwsum.data(), e.qscale.data());
   e.channels.assign(ch.begin(), ch.end());
   e.out_channels.assign(oc.begin(), oc.end());
-  e.spatial_layout = false;
   e.is_int8 = true;
   e.valid = true;
   e.stamp = ++cache.clock;
@@ -850,6 +827,232 @@ int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
   return static_cast<int64_t>(ok) * pos * patch_k * gs;
 }
 
+namespace {
+
+// Register tile of the fused spatial kernel: kSpatialRows filters by
+// kSpatialCols gathered columns, gemm_nn's 4 x 16 micro-kernel shape. The
+// gathered columns live in zero-padded panels of kSpatialCols columns,
+// bp[panel][ci][lane], so one panel row is one pair of 8-lane loads.
+constexpr int kSpatialRows = 4;
+constexpr int kSpatialCols = 16;
+
+// Scratch shape of one spatial group with `pk` kept positions: member s
+// owns the column segment [s * seg, (s + 1) * seg) — its pk kept columns
+// followed by one +0.0 slot — and the segments are packed into `panels`
+// column panels, so a panel may straddle members.
+struct SpatialShape {
+  int64_t seg = 0;
+  int64_t panels = 0;
+  int64_t ld() const { return panels * kSpatialCols; }
+};
+
+SpatialShape spatial_shape(int gs, int64_t pk) {
+  SpatialShape s;
+  s.seg = pk + 1;
+  s.panels = (gs * s.seg + kSpatialCols - 1) / kSpatialCols;
+  return s;
+}
+
+// Products of one 4-filter tile at one kernel offset over every gathered
+// column: prod[r][c] = sum over ci ascending of wrow[r][widx[ci]] * B[ci][c],
+// accumulated from +0 with mul-then-add — gemm_nn's per-element order, so
+// each value equals conv_sample_masked's shift-GEMM product bit for bit.
+// The weights are read in place: wrow[r] points at filter r's kernel
+// offset in the dense weight tensor and widx[ci] = ch[ci] * kk. The unroll
+// pragmas serve the scalar build (16 one-lane vectors per row), where
+// gemm_nn's micro-kernel needs them to keep its accumulators in registers.
+void spatial_tile_products(const float* const* wrow, const int* widx, int ck,
+                           const float* bpanels, int64_t panels, float* prod,
+                           int64_t ld) {
+  constexpr int kVecs = kSpatialCols / simd::kLanes;
+  for (int64_t jp = 0; jp < panels; ++jp) {
+    const float* bp = bpanels + jp * ck * kSpatialCols;
+    simd::vf acc[kSpatialRows][kVecs];
+    for (int r = 0; r < kSpatialRows; ++r) {
+#pragma GCC unroll 16
+      for (int v = 0; v < kVecs; ++v) acc[r][v] = simd::zero();
+    }
+    for (int ci = 0; ci < ck; ++ci) {
+      const float* brow = bp + static_cast<int64_t>(ci) * kSpatialCols;
+      simd::vf b[kVecs];
+#pragma GCC unroll 16
+      for (int v = 0; v < kVecs; ++v) {
+        b[v] = simd::load(brow + v * simd::kLanes);
+      }
+      const int wi = widx[ci];
+      for (int r = 0; r < kSpatialRows; ++r) {
+        const simd::vf av = simd::set1(wrow[r][wi]);
+#pragma GCC unroll 16
+        for (int v = 0; v < kVecs; ++v) {
+          acc[r][v] = simd::madd(av, b[v], acc[r][v]);
+        }
+      }
+    }
+    for (int r = 0; r < kSpatialRows; ++r) {
+      float* dst = prod + r * ld + jp * kSpatialCols;
+#pragma GCC unroll 16
+      for (int v = 0; v < kVecs; ++v) {
+        simd::store(dst + v * simd::kLanes, acc[r][v]);
+      }
+    }
+  }
+}
+
+// dst[e] += src[idx[e]] over one output plane. Outputs no kept column
+// feeds at this offset index the member's +0.0 slot, so every lane adds
+// and no load is masked.
+void gather_add_row(const float* src, const int* idx, int64_t n, float* dst) {
+  int64_t e = 0;
+  for (; e + simd::kLanes <= n; e += simd::kLanes) {
+    simd::store(dst + e,
+                simd::add(simd::load(dst + e), simd::gather(src, idx + e)));
+  }
+  for (; e < n; ++e) dst[e] += src[idx[e]];
+}
+
+// Spatial (column) skipping for one mask group: the input-stationary
+// shift-GEMM of conv_sample_masked, fused. The members' kept columns are
+// gathered once into column panels; then each 4-filter tile, for each
+// kernel offset in ascending order, computes its products over every
+// member's columns into its own four rows of `prod` and adds them into
+// the output planes through the inverse table inv[offset][e] (the kept
+// column feeding output e, or the +0.0 slot). Per output element that is
+// conv_sample_masked's sequence of scatter additions, plus exact +0.0
+// additions for offsets with no feeder: the caller zero-fills y with +0.0
+// and a sum that starts at +0.0 never becomes -0.0, so adding +0.0
+// changes no bit. Tiles own disjoint output rows, so they run in parallel.
+int64_t conv_group_spatial(const float* x_base, int64_t in_floats,
+                           const ConvGeom& g, const float* w,
+                           const float* bias, std::span<const int> ch,
+                           std::span<const int> oc_set,
+                           std::span<const int> positions,
+                           std::span<const int> samples, float* y_base,
+                           int64_t out_floats, Workspace& ws) {
+  const int in_c = g.in_c, wd = g.in_w;
+  const int oh = g.out_h(), ow = g.out_w();
+  const int64_t plane = static_cast<int64_t>(g.in_h) * wd;
+  const int64_t pos = g.out_positions();
+  const int kk = g.k_h * g.k_w;
+  AD_CHECK(g.stride == 1 && oh == g.in_h && ow == wd)
+      << " spatial runtime mask requires a grid-preserving Conv2d";
+  AD_CHECK(positions.front() >= 0 &&
+           positions.back() < static_cast<int>(pos))
+      << " spatial runtime mask position out of range";
+  const int ck = static_cast<int>(ch.size());
+  const int ok = static_cast<int>(oc_set.size());
+  const int pk = static_cast<int>(positions.size());
+  const int gs = static_cast<int>(samples.size());
+  const SpatialShape sh = spatial_shape(gs, pk);
+  const int64_t ld = sh.ld();
+  const int tiles = (ok + kSpatialRows - 1) / kSpatialRows;
+
+  float* bpanels = ws.alloc_floats(sh.panels * ck * kSpatialCols);
+  int* widx = ws.alloc<int>(ck);
+  int* inv = ws.alloc<int>(kk * pos);
+  float* prod =
+      ws.alloc_floats(static_cast<int64_t>(tiles) * kSpatialRows * ld);
+  const auto out_plane = [&](int s, int oc) {
+    return y_base +
+           static_cast<int64_t>(samples[static_cast<size_t>(s)]) * out_floats +
+           static_cast<int64_t>(oc) * pos;
+  };
+  {
+    obs::PhaseScope span(obs::Phase::kGather);
+    // B[ci][s * seg + j] = x_s[ch[ci], positions[j]], then the member's
+    // +0.0 column; the last panel's tail past gs * seg is zero too.
+    parallel_for(
+        0, static_cast<int64_t>(gs) * ck,
+        [&](int64_t i0, int64_t i1) {
+          for (int64_t i = i0; i < i1; ++i) {
+            const int64_t s = i / ck;
+            const int ci = static_cast<int>(i % ck);
+            const float* src =
+                x_base +
+                static_cast<int64_t>(samples[static_cast<size_t>(s)]) *
+                    in_floats +
+                ch[static_cast<size_t>(ci)] * plane;
+            const int64_t c_end = s + 1 == gs ? ld : (s + 1) * sh.seg;
+            for (int64_t c = s * sh.seg; c < c_end;) {
+              const int64_t lane = c % kSpatialCols;
+              const int64_t n = std::min(kSpatialCols - lane, c_end - c);
+              float* dst = bpanels +
+                           ((c / kSpatialCols) * ck + ci) * kSpatialCols + lane;
+              const int64_t j = c - s * sh.seg;
+              const int64_t kept = std::clamp<int64_t>(pk - j, 0, n);
+              if (kept > 0) gather_positions(src, &positions[j], kept, dst);
+              std::fill(dst + kept, dst + n, 0.f);
+              c += n;
+            }
+          }
+        },
+        /*grain=*/1);
+    for (int ci = 0; ci < ck; ++ci) widx[ci] = ch[static_cast<size_t>(ci)] * kk;
+    // Input column (iy, ix) feeds output (iy + pad - ky, ix + pad - kx).
+    std::fill(inv, inv + static_cast<int64_t>(kk) * pos, pk);
+    for (int j = 0; j < pk; ++j) {
+      const int p = positions[static_cast<size_t>(j)];
+      const int iy = p / wd, ix = p % wd;
+      for (int ky = 0; ky < g.k_h; ++ky) {
+        const int oy = iy + g.pad - ky;
+        if (oy < 0 || oy >= oh) continue;
+        for (int kx = 0; kx < g.k_w; ++kx) {
+          const int ox = ix + g.pad - kx;
+          if (ox < 0 || ox >= ow) continue;
+          inv[static_cast<int64_t>(ky * g.k_w + kx) * pos + oy * ow + ox] = j;
+        }
+      }
+    }
+  }
+  {
+    obs::PhaseScope span(obs::Phase::kGemm);
+    parallel_for(
+        0, tiles,
+        [&](int64_t t0, int64_t t1) {
+          for (int64_t tile = t0; tile < t1; ++tile) {
+            const int oi0 = static_cast<int>(tile) * kSpatialRows;
+            const int rows = std::min(kSpatialRows, ok - oi0);
+            float* tprod = prod + static_cast<int64_t>(oi0) * ld;
+            // Rows past a ragged last tile repeat its last filter; their
+            // products land in spare rows that are never read.
+            const float* wbase[kSpatialRows];
+            for (int r = 0; r < kSpatialRows; ++r) {
+              wbase[r] = w + static_cast<int64_t>(oc_set[static_cast<size_t>(
+                                 oi0 + std::min(r, rows - 1))]) *
+                                 in_c * kk;
+            }
+            for (int t = 0; t < kk; ++t) {
+              const float* wrow[kSpatialRows];
+              for (int r = 0; r < kSpatialRows; ++r) wrow[r] = wbase[r] + t;
+              spatial_tile_products(wrow, widx, ck, bpanels, sh.panels, tprod,
+                                    ld);
+              const int* inv_t = inv + static_cast<int64_t>(t) * pos;
+              for (int r = 0; r < rows; ++r) {
+                const int oc = oc_set[static_cast<size_t>(oi0 + r)];
+                for (int s = 0; s < gs; ++s) {
+                  float* src = tprod + r * ld + s * sh.seg;
+                  // The +0.0 column's product is +0.0 for finite weights;
+                  // storing it keeps the slot exact for any weight.
+                  src[pk] = 0.f;
+                  gather_add_row(src, inv_t, pos, out_plane(s, oc));
+                }
+              }
+            }
+            if (bias == nullptr) continue;
+            for (int r = 0; r < rows; ++r) {
+              const int oc = oc_set[static_cast<size_t>(oi0 + r)];
+              for (int s = 0; s < gs; ++s) {
+                add_bias_row(out_plane(s, oc), pos, bias[oc]);
+              }
+            }
+          }
+        },
+        /*grain=*/1);
+  }
+  return static_cast<int64_t>(ok) * pk * ck * kk * gs;
+}
+
+}  // namespace
+
 int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvGeom& g, const float* w, int out_c,
                           const float* bias, const ConvRuntimeMask& m,
@@ -857,8 +1060,7 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvIdentityIndices& ids,
                           WeightPanelCache* cache, float* y_base,
                           int64_t out_floats, Workspace& ws, int64_t tile) {
-  const int in_c = g.in_c, h = g.in_h, wd = g.in_w;
-  const int oh = g.out_h(), ow = g.out_w();
+  const int in_c = g.in_c;
   const int64_t pos = g.out_positions();
   const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
   const int gs = static_cast<int>(samples.size());
@@ -889,12 +1091,12 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
       obs::PhaseScope span(obs::Phase::kPack);
       if (cache != nullptr) {
         w_panel = pack_weight_panel(w, in_c, static_cast<int>(kk), ch, oc_set,
-                                    /*spatial_layout=*/false, *cache);
+                                    *cache);
       } else {
         // Cross-group parallel regime: pack into this worker's arena slice.
         float* panel = ws.alloc_floats(static_cast<int64_t>(ok) * patch_k);
         pack_weight_panel_into(w, in_c, static_cast<int>(kk), ch, oc_set,
-                               /*spatial_layout=*/false, panel);
+                               panel);
         w_panel = panel;
       }
     }
@@ -1007,107 +1209,8 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
     }
     macs = static_cast<int64_t>(ok) * pos * patch_k * gs;
   } else {
-    // Spatial (column) skipping: the shift-GEMM (see conv_sample_masked)
-    // widened across the group — the kernel-offset-stacked weight matrix
-    // multiplies every member's gathered columns in one GEMM.
-    AD_CHECK(g.stride == 1 && oh == h && ow == wd)
-        << " spatial runtime mask requires a grid-preserving Conv2d";
-    AD_CHECK_LE(m.positions.back(), static_cast<int>(pos) - 1);
-    const int pk = static_cast<int>(m.positions.size());
-    const int64_t ldc = static_cast<int64_t>(gs) * pk;
-
-    float* cols = ws.alloc_floats(static_cast<int64_t>(ck) * ldc);
-    {
-      obs::PhaseScope span(obs::Phase::kGather);
-      parallel_for(
-          0, gs,
-          [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              const int b = samples[static_cast<size_t>(s)];
-              const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-              for (int ci = 0; ci < ck; ++ci) {
-                const float* plane =
-                    xb +
-                    static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * h * wd;
-                gather_positions(
-                    plane, m.positions.data(), pk,
-                    cols + static_cast<int64_t>(ci) * ldc + s * pk);
-              }
-            }
-          },
-          /*grain=*/1);
-    }
-
-    const float* w_panel;
-    {
-      obs::PhaseScope span(obs::Phase::kPack);
-      if (cache != nullptr) {
-        w_panel = pack_weight_panel(w, in_c, static_cast<int>(kk), ch, oc_set,
-                                    /*spatial_layout=*/true, *cache);
-      } else {
-        float* panel = ws.alloc_floats(kk * static_cast<int64_t>(ok) * ck);
-        pack_weight_panel_into(w, in_c, static_cast<int>(kk), ch, oc_set,
-                               /*spatial_layout=*/true, panel);
-        w_panel = panel;
-      }
-    }
-    float* y_sub =
-        ws.alloc_floats(kk * static_cast<int64_t>(ok) * ldc);
-    // Scatter targets depend only on the group's kept positions: resolve
-    // every (kernel offset, kept column) to its output index ONCE per
-    // group (-1 = falls off the grid) instead of re-deriving it with
-    // div/mod for every sample and filter.
-    int* scatter_idx = ws.alloc<int>(kk * pk);
-    for (int ky = 0; ky < g.k_h; ++ky) {
-      for (int kx = 0; kx < g.k_w; ++kx) {
-        const int64_t off = static_cast<int64_t>(ky) * g.k_w + kx;
-        // Input column (iy, ix) feeds output (iy + pad - ky, ix + pad - kx).
-        const int dy = g.pad - ky, dx = g.pad - kx;
-        int* row = scatter_idx + off * pk;
-        for (int j = 0; j < pk; ++j) {
-          const int p = m.positions[static_cast<size_t>(j)];
-          const int oy = p / wd + dy;
-          const int ox = p % wd + dx;
-          row[j] = (oy >= 0 && oy < oh && ox >= 0 && ox < ow)
-                       ? oy * ow + ox
-                       : -1;
-        }
-      }
-    }
-    {
-      obs::PhaseScope span(obs::Phase::kGemm);
-      gemm_nn(static_cast<int>(kk) * ok, static_cast<int>(ldc), ck, 1.f,
-              w_panel, cols, 0.f, y_sub, &ws);
-    }
-    {
-      obs::PhaseScope span(obs::Phase::kScatter);
-      parallel_for(
-          0, gs,
-          [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              const int b = samples[static_cast<size_t>(s)];
-              float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-              // Filter-major scatter: y_sub reads stream sequentially and
-              // writes stay inside one output plane. Per output element the
-              // contributions still accumulate in ascending (offset, column)
-              // order — exactly the order the per-sample kernel uses.
-              for (int oi = 0; oi < ok; ++oi) {
-                const int oc = oc_set[static_cast<size_t>(oi)];
-                float* drow = yb + static_cast<int64_t>(oc) * pos;
-                for (int64_t off = 0; off < kk; ++off) {
-                  const float* yrow = y_sub + (off * ok + oi) * ldc + s * pk;
-                  const int* idx = scatter_idx + off * pk;
-                  for (int j = 0; j < pk; ++j) {
-                    if (idx[j] >= 0) drow[idx[j]] += yrow[j];
-                  }
-                }
-                if (bias != nullptr) add_bias_row(drow, pos, bias[oc]);
-              }
-            }
-          },
-          /*grain=*/1);
-    }
-    macs = static_cast<int64_t>(ok) * pk * ck * kk * gs;
+    macs = conv_group_spatial(x_base, in_floats, g, w, bias, ch, oc_set,
+                              m.positions, samples, y_base, out_floats, ws);
   }
 
   ws.rewind(per_group);
@@ -1193,21 +1296,22 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
   size_t worst = channel_path;
   if (spatial_masks && g.stride == 1 && g.out_h() == g.in_h &&
       g.out_w() == g.in_w) {
-    // Spatial shift-GEMM path with every position kept: gathered columns,
-    // the stacked-offset GEMM output, the per-group scatter-index table,
-    // then the GEMM's own panels on top. (Under the int8 regime spatial
-    // groups still run this f32 fallback, so it stays in the max.) This
-    // path never tiles, so its footprint is always the full gs * pos
-    // width regardless of `tile`.
-    const int64_t ldf = static_cast<int64_t>(gs) * pos;
+    // Fused spatial path with every position kept: the gathered column
+    // panels, the weight index, the inverse table and the 4-row-tiled
+    // product buffer, in allocation order. (Under the int8 regime spatial
+    // groups still run this f32 kernel, so it stays in the max.) It never
+    // tiles, so its footprint is the full gs * pos width regardless of
+    // `tile`.
+    const SpatialShape sh = spatial_shape(gs, pos);
+    const int64_t tile_rows =
+        (out_c + kSpatialRows - 1) / kSpatialRows * kSpatialRows;
     const size_t spatial_path =
-        Workspace::align_up(static_cast<size_t>(g.in_c) * ldf *
-                            sizeof(float)) +
-        Workspace::align_up(static_cast<size_t>(kk) * out_c * ldf *
-                            sizeof(float)) +
+        Workspace::align_up(static_cast<size_t>(sh.panels) * g.in_c *
+                            kSpatialCols * sizeof(float)) +
+        Workspace::align_up(static_cast<size_t>(g.in_c) * sizeof(int)) +
         Workspace::align_up(static_cast<size_t>(kk) * pos * sizeof(int)) +
-        gemm_nn_scratch_bytes(static_cast<int>(kk) * out_c,
-                              static_cast<int>(ldf), g.in_c);
+        Workspace::align_up(static_cast<size_t>(tile_rows) * sh.ld() *
+                            sizeof(float));
     worst = std::max(worst, spatial_path);
   }
   if (int8_regime) {
@@ -1227,11 +1331,11 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
 size_t conv_group_masked_slice_bytes(const ConvGeom& g, int out_c, int gs,
                                      bool int8_regime, int64_t tile,
                                      bool spatial_masks) {
-  // Cache-less regime: the worker packs the kept-filter weight panel into
-  // its slice. Both f32 layouts top out at the full weight size (full
-  // kept sets); under int8 the worker may instead pack the int8 panel +
-  // wsum + scale triplet, so the larger of the two pack footprints is
-  // reserved.
+  // Cache-less regime: the channel path's worker packs the kept-filter
+  // weight panel into its slice, at most the full weight size (full kept
+  // sets); under int8 it may instead pack the int8 panel + wsum + scale
+  // triplet, so the larger of the two pack footprints is reserved. The
+  // spatial path reads its weights in place and packs nothing.
   const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
   size_t pack_bytes = Workspace::align_up(
       static_cast<size_t>(out_c) * g.in_c * kk * sizeof(float));

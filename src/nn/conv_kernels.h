@@ -14,10 +14,11 @@
 //   - mask-grouped batch kernels (conv_batch_dense / conv_group_masked):
 //     the plan executor's hot path. A *mask group* is a set of batch
 //     samples whose runtime masks are identical; the group kernel gathers
-//     every member's kept inputs into ONE compacted activation block,
-//     packs the kept filter rows ONCE into a weight panel (cached across
-//     passes by kept set, so static filter masks never repack) and runs a
-//     single multi-sample GEMM instead of per-sample scatter kernels.
+//     every member's kept inputs into ONE compacted activation block and
+//     runs a single multi-sample GEMM instead of per-sample scatter
+//     kernels. Channel masks pack the kept filter rows ONCE into a weight
+//     panel (cached across passes by kept set, so static filter masks
+//     never repack); spatial masks read the weights in place.
 //     Per-element accumulation order is unchanged, so grouped outputs are
 //     bitwise identical to the per-sample kernels'.
 //
@@ -144,6 +145,9 @@ class RelaxedCounter {
 };
 
 // Cross-pass cache for the kept-filter weight panels of one conv site.
+// Only the channel/filter path packs panels: the spatial path reads its
+// weights in place (see conv_group_masked), so spatial groups never look
+// the cache up.
 //
 // The cache is a kWays-way fully-associative set with exact LRU
 // replacement. A single-entry cache was miss-dominated the moment a
@@ -159,9 +163,9 @@ class RelaxedCounter {
 // prepare() sizes every way for the worst kept set (the plan calls it
 // from reserve(), so a reserved serving path never packs through the
 // allocator; unreserved callers grow lazily on first pack and converge).
-// A hit (same kept sets, layout and numeric regime as a cached panel)
-// skips the pack entirely. The cache copies weight values, so it shares
-// the plan's staleness contract: mutating weights in eval mode requires
+// A hit (same kept sets and numeric regime as a cached panel) skips the
+// pack entirely. The cache copies weight values, so it shares the plan's
+// staleness contract: mutating weights in eval mode requires
 // ConvNet::invalidate_plan().
 //
 // Miss taxonomy (misses == cold_misses + capacity_misses): a ring of
@@ -174,13 +178,12 @@ class RelaxedCounter {
 struct WeightPanelCache {
   static constexpr int kWays = 4;
   struct Entry {
-    std::vector<float> panel;      // f32 panel (either layout)
-    std::vector<int8_t> qpanel;    // int8 channel-layout panel (int8 regime)
+    std::vector<float> panel;      // f32 panel [ok][ck*kk]
+    std::vector<int8_t> qpanel;    // int8 panel (int8 regime)
     std::vector<int32_t> qwsum;    // per kept filter: sum of its int8 bytes
     std::vector<float> qscale;     // per kept filter: dequant scale
     std::vector<int> channels;     // kept set the panel encodes
     std::vector<int> out_channels;
-    bool spatial_layout = false;   // channel [ok,ck*kk] vs shift [kk*ok,ck]
     bool is_int8 = false;
     bool valid = false;
     uint64_t stamp = 0;  // LRU clock value of the last touch
@@ -197,10 +200,10 @@ struct WeightPanelCache {
   RelaxedCounter evictions;
   RelaxedCounter bypass;
 
-  // Reserves worst-case storage (full kept sets, either layout) in every
-  // way; with `int8_regime` the int8 panel arrays are sized as well (the
-  // f32 arrays always are — spatial-masked groups fall back to the f32
-  // shift-GEMM under the int8 regime and must still pack allocation-free).
+  // Reserves worst-case storage (full kept sets) in every way; with
+  // `int8_regime` the int8 panel arrays are sized as well (the f32 arrays
+  // always are, so a regime flip after reserve still packs without
+  // allocating).
   void prepare(int out_c, int in_c, int kk, bool int8_regime = false);
 };
 
@@ -221,18 +224,17 @@ struct Int8ConvWeights {
 void quantize_conv_weights(const float* w, int out_c, int in_c, int kk,
                            Int8ConvWeights& out);
 
-// Packs the kept-filter weight panel for the kept sets into `dst`
-// (ok*ck*kk floats). Channel layout: panel[oi][ci*kk + t] =
-// w[oc[oi], ch[ci], t]. Spatial (shift-GEMM) layout: panel[(t*ok + oi)][ci]
-// = w[oc[oi], ch[ci], t], the kernel-offset-stacked matrix.
+// Packs the kept-filter weight panel of the channel/filter path for the
+// kept sets into `dst` (ok*ck*kk floats): panel[oi][ci*kk + t] =
+// w[oc[oi], ch[ci], t].
 void pack_weight_panel_into(const float* w, int in_c, int kk,
                             std::span<const int> ch, std::span<const int> oc,
-                            bool spatial_layout, float* dst);
+                            float* dst);
 
 // Cached variant: packs into `cache` only on a miss.
 const float* pack_weight_panel(const float* w, int in_c, int kk,
                                std::span<const int> ch,
-                               std::span<const int> oc, bool spatial_layout,
+                               std::span<const int> oc,
                                WeightPanelCache& cache);
 
 // The int8 kept-filter panel of one mask group: rows of
@@ -252,8 +254,8 @@ void pack_weight_panel_i8_into(const Int8ConvWeights& qw, int kk,
                                std::span<const int> oc, int8_t* qdst,
                                int32_t* wsum_dst, float* scale_dst);
 
-// Cached int8 variant (channel layout only); shares ways, LRU state and
-// counters with the f32 panels of the same site.
+// Cached int8 variant; shares ways, LRU state and counters with the f32
+// panels of the same site.
 Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
                                std::span<const int> ch,
                                std::span<const int> oc,
@@ -285,24 +287,39 @@ int64_t conv_batch_dense(const float* x_base, int64_t in_floats,
 // and applies any fused epilogue afterwards. Bias semantics match
 // conv_sample_masked. Returns the MACs executed for the whole group.
 //
+// Channel/filter masks run one compacted GEMM over the members' gathered
+// patches with the kept-filter weight panel. Spatial masks run the fused
+// shift-GEMM: the members' kept input columns are gathered once into
+// zero-padded 16-column panels; each 4-filter register tile reads its
+// weights in place from `w` and, per kernel offset in ascending order,
+// writes its products into its own four rows of an [ok x gs*(pk+1)]
+// buffer (each member's kept columns and one +0.0 slot; 1/kk of a
+// stacked-offset GEMM output), then adds them into the output planes
+// through an inverse table (inv[offset][e] = the kept column feeding
+// output e, or the +0.0 slot) with SIMD gathers. Per output element the
+// products sum in ascending kept-channel order from +0 and the offsets
+// add in ascending order, as in conv_sample_masked, so the output is
+// bitwise identical to it; tiles own disjoint output rows and run in
+// parallel.
+//
 // Two invocation regimes:
 //   - sequential (cache != nullptr): groups run one after another on the
-//     caller's thread; gather/scatter parallelize across the group's
-//     members and the compacted GEMM parallelizes internally; the weight
-//     panel comes from the cross-pass cache.
+//     caller's thread; the kernel's stages parallelize internally and the
+//     channel path's weight panel comes from the cross-pass cache.
 //   - cross-group parallel (cache == nullptr): the caller runs several
 //     groups concurrently, each on a pool worker with `ws` bound to a
-//     private arena slice (Workspace::bind_external). The weight panel is
-//     packed into the slice (a shared cache would race, and with >= 2
-//     distinct kept sets per pass it could not hit anyway) and the
-//     internal parallel_fors run inline under the nested-dispatch guard.
-//     Distinct groups cover distinct samples, so outputs are disjoint and
-//     the result is bitwise identical to sequential group order.
+//     private arena slice (Workspace::bind_external). The channel path's
+//     weight panel is packed into the slice (a shared cache would race,
+//     and with >= 2 distinct kept sets per pass it could not hit anyway)
+//     and the internal parallel_fors run inline under the nested-dispatch
+//     guard. Distinct groups cover distinct samples, so outputs are
+//     disjoint and the result is bitwise identical to sequential group
+//     order.
 // `tile` > 0 tiles the CHANNEL/FILTER path over output positions (the
 // compacted B matrix becomes [patch_k x group*tile] per tile; f32 output
-// stays bitwise identical — see conv_batch_dense). The spatial shift-GEMM
-// path ignores `tile`: its scatter-add accumulates across kernel offsets,
-// so column tiling would not keep it a pure output-column split.
+// stays bitwise identical — see conv_batch_dense). The spatial path
+// ignores `tile`: it accumulates across kernel offsets into whole output
+// planes, so column tiling would not keep it a pure output-column split.
 int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvGeom& g, const float* w, int out_c,
                           const float* bias, const ConvRuntimeMask& m,
@@ -330,13 +347,13 @@ int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
                             Workspace& ws, int64_t tile = 0);
 
 // Int8-regime mask group, CHANNEL/FILTER masks only (the caller routes
-// groups with spatial positions to the f32 shift-GEMM — a documented
-// mixed-regime fallback). Pipeline: pack int8 kept-filter panel (cached
-// or into the worker slice, like the f32 path) -> quantize every member's
-// kept input planes once, at ONE scale per group per step (the largest |x|
-// over those planes) -> per tile of output positions: lower the members'
-// u8 planes side by side into one igemm operand -> u8xs8 igemm writing
-// dequantized f32 y_sub -> the f32 scatter. The caller's fused epilogue
+// groups with spatial positions to the f32 conv_group_masked — a
+// documented mixed-regime fallback). Pipeline: pack int8 kept-filter
+// panel (cached or into the worker slice, like the f32 path) -> quantize
+// every member's kept input planes once, at ONE scale per group per step
+// (the largest |x| over those planes) -> per tile of output positions:
+// lower the members' u8 planes side by side into one igemm operand ->
+// u8xs8 igemm writing dequantized f32 y_sub -> the f32 scatter. The caller's fused epilogue
 // then applies unchanged to the f32 output. Same invocation regimes as
 // conv_group_masked. Returns logical MACs. As in conv_batch_dense_i8,
 // untiled is one tile and tiled output is bitwise identical to untiled.
@@ -363,9 +380,10 @@ size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
 
 // Worst-case arena bytes of one conv_group_masked call with a group of
 // `gs` samples, maximized over every mask shape the geometry admits (full
-// index sets; the spatial shift-GEMM path only when the conv preserves
-// the grid AND `spatial_masks`; the int8 channel path — the group's u8
-// planes, one u8 operand tile and y_sub — when `int8_regime`).
+// index sets; the spatial path — column panels, inverse table and product
+// buffer — only when the conv preserves the grid AND `spatial_masks`; the
+// int8 channel path — the group's u8 planes, one u8 operand tile and
+// y_sub — when `int8_regime`).
 // Monotone in gs, so a batch's worst case over any grouping is the
 // single-group-of-n value (groups run sequentially between rewinds).
 // `tile` must match the execution call; the spatial path never tiles, so
@@ -381,8 +399,9 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
 
 // Worst-case bytes of one PER-WORKER arena slice for the cross-group
 // parallel regime (cache == nullptr): the group scratch above plus the
-// weight panel the worker packs into its slice (the larger of the f32
-// panel and the int8 panel+wsum+scale when `int8_regime`). Monotone in gs.
+// channel-path weight panel the worker packs into its slice (the larger of
+// the f32 panel and the int8 panel+wsum+scale when `int8_regime`; the
+// spatial path packs none, so this bounds it too). Monotone in gs.
 size_t conv_group_masked_slice_bytes(const ConvGeom& g, int out_c, int gs,
                                      bool int8_regime = false,
                                      int64_t tile = 0,

@@ -846,9 +846,9 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
         const Workspace::Mark scratch = ws.mark();
         // Int8 regime: channel/filter-masked groups and the dense path run
         // the quantized kernels; groups carrying spatial positions fall
-        // back to the f32 shift-GEMM (a documented mixed-regime step — the
-        // shift-GEMM's scattered accumulation has no int8 formulation that
-        // preserves its skip ratio).
+        // back to the f32 shift-GEMM (a documented mixed-regime step — its
+        // offset-by-offset accumulation into the output planes has no int8
+        // formulation that preserves its skip ratio).
         const bool int8 = regime_ == NumericRegime::kInt8;
         int64_t macs = 0;
         if (!masks.empty()) {

@@ -248,15 +248,16 @@ TEST(CoarsenPlan, MixedPositionKindsNeverMerge) {
 // --- union-superset kernel parity -----------------------------------------
 
 struct KernelRig {
-  ConvGeom g{8, 8, 8, 3, 3, 1, 1};
+  ConvGeom g;
   static constexpr int kOutC = 6;
-  static constexpr int kN = 3;  // group members
+  static constexpr int kN = 8;  // samples in x; `samples` picks the members
   std::vector<float> w, bias, x;
   std::vector<int> iota;
   std::vector<int> samples{0, 1, 2};
+  bool with_bias = true;
   Workspace ws;
 
-  KernelRig() {
+  explicit KernelRig(ConvGeom geom = {8, 8, 8, 3, 3, 1, 1}) : g(geom) {
     Rng rng(77);
     w.resize(static_cast<size_t>(kOutC) * g.patch_rows());
     for (float& v : w) v = static_cast<float>(rng.normal());
@@ -275,6 +276,9 @@ struct KernelRig {
   nn::ConvIdentityIndices ids() const {
     return {iota.data(), iota.data(), iota.data()};
   }
+  const float* bias_or_null() const {
+    return with_bias ? bias.data() : nullptr;
+  }
   void zero_channel(int c) {
     const int64_t plane = static_cast<int64_t>(g.in_h) * g.in_w;
     for (int s = 0; s < kN; ++s) {
@@ -291,18 +295,31 @@ struct KernelRig {
     }
   }
 
-  std::vector<float> run_f32(const nn::ConvRuntimeMask& m) {
+  // The group kernel over `samples`; `cache` selects the sequential
+  // regime (non-null) or the cross-group slice regime (nullptr).
+  std::vector<float> run_f32(const nn::ConvRuntimeMask& m,
+                             nn::WeightPanelCache* cache = nullptr) {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), 0.f);
     nn::conv_group_masked(x.data(), in_floats(), g, w.data(), kOutC,
-                          bias.data(), m, samples, ids(), /*cache=*/nullptr,
-                          y.data(), out_floats(), ws);
+                          bias_or_null(), m, samples, ids(), cache, y.data(),
+                          out_floats(), ws);
+    return y;
+  }
+  // The module walk's per-sample kernel, member by member.
+  std::vector<float> run_reference(const nn::ConvRuntimeMask& m) {
+    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), 0.f);
+    for (int b : samples) {
+      nn::conv_sample_masked(x.data() + b * in_floats(), g, w.data(), kOutC,
+                             bias_or_null(), m, ids(),
+                             y.data() + b * out_floats(), ws);
+    }
     return y;
   }
   std::vector<float> run_i8(const nn::Int8ConvWeights& qw,
                             const nn::ConvRuntimeMask& m) {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), 0.f);
     nn::conv_group_masked_i8(x.data(), in_floats(), g, qw, kOutC,
-                             bias.data(), m, samples, ids(),
+                             bias_or_null(), m, samples, ids(),
                              /*cache=*/nullptr, y.data(), out_floats(), ws);
     return y;
   }
@@ -362,6 +379,104 @@ TEST(CoarsenKernel, ChannelUnionSupersetBitwiseInt8) {
   EXPECT_TRUE(bitwise_equal(rig.run_i8(qw, exact), rig.run_i8(qw, sup)));
 }
 
+// --- fused spatial kernel vs the per-sample module-walk kernel -----------
+
+// `count` distinct positions of [0, domain), ascending, drawn by `seed`.
+std::vector<int> some_positions(int count, int domain, uint64_t seed) {
+  std::vector<int> all(static_cast<size_t>(domain));
+  std::iota(all.begin(), all.end(), 0);
+  Rng rng(seed);
+  for (int i = domain - 1; i > 0; --i) {
+    const uint64_t j = rng.next_below(static_cast<uint64_t>(i) + 1);
+    std::swap(all[static_cast<size_t>(i)], all[static_cast<size_t>(j)]);
+  }
+  all.resize(static_cast<size_t>(count));
+  std::sort(all.begin(), all.end());
+  return all;
+}
+
+// Every position on the grid's four borders, ascending.
+std::vector<int> border_positions(int h, int w) {
+  std::vector<int> out;
+  for (int y = 0; y < h; ++y) {
+    for (int x = 0; x < w; ++x) {
+      if (y == 0 || y == h - 1 || x == 0 || x == w - 1) {
+        out.push_back(y * w + x);
+      }
+    }
+  }
+  return out;
+}
+
+// The masks every spatial parity case runs: kept-position counts on both
+// sides of the 8-lane gather width and of a 16-column panel, all four
+// borders (every inverse-table edge), filter subsets whose size is not a
+// multiple of the 4-filter tile, and a single kept channel.
+std::vector<nn::ConvRuntimeMask> spatial_cases(const ConvGeom& g) {
+  const int domain = g.in_h * g.in_w;
+  std::vector<nn::ConvRuntimeMask> cases;
+  uint64_t seed = 5;
+  for (int count : {1, 7, 8, 17, domain}) {
+    nn::ConvRuntimeMask m;
+    m.positions = some_positions(count, domain, seed++);
+    cases.push_back(m);
+  }
+  nn::ConvRuntimeMask border;
+  border.positions = border_positions(g.in_h, g.in_w);
+  cases.push_back(border);
+  for (const std::vector<int>& oc :
+       {std::vector<int>{4}, std::vector<int>{0, 2, 5},
+        std::vector<int>{0, 1, 2, 3, 5}}) {
+    nn::ConvRuntimeMask m = border;
+    m.out_channels = oc;
+    cases.push_back(m);
+  }
+  nn::ConvRuntimeMask one_channel;
+  one_channel.channels = {g.in_c - 1};
+  one_channel.positions = some_positions(17, domain, seed++);
+  cases.push_back(one_channel);
+  nn::ConvRuntimeMask mixed;
+  mixed.channels = {0, 2, 3, 6};
+  mixed.positions = some_positions(domain / 2, domain, seed++);
+  mixed.out_channels = {1, 2, 4};
+  cases.push_back(mixed);
+  return cases;
+}
+
+void expect_spatial_parity(KernelRig& rig) {
+  nn::WeightPanelCache cache;
+  cache.prepare(KernelRig::kOutC, rig.g.in_c, rig.g.k_h * rig.g.k_w);
+  for (int members : {1, 3, 8}) {
+    rig.samples.resize(static_cast<size_t>(members));
+    std::iota(rig.samples.begin(), rig.samples.end(), 0);
+    // Without a bias, outputs no kept column reaches must stay exactly +0.
+    for (bool with_bias : {true, false}) {
+      rig.with_bias = with_bias;
+      int index = 0;
+      for (const nn::ConvRuntimeMask& m : spatial_cases(rig.g)) {
+        const std::vector<float> ref = rig.run_reference(m);
+        EXPECT_TRUE(bitwise_equal(rig.run_f32(m, &cache), ref))
+            << "cached regime, " << members << " members, bias "
+            << with_bias << ", case " << index;
+        EXPECT_TRUE(bitwise_equal(rig.run_f32(m, nullptr), ref))
+            << "slice regime, " << members << " members, bias " << with_bias
+            << ", case " << index;
+        ++index;
+      }
+    }
+  }
+}
+
+TEST(CoarsenKernel, FusedSpatialMatchesPerSampleKernelBitwise) {
+  KernelRig rig;
+  expect_spatial_parity(rig);
+}
+
+TEST(CoarsenKernel, FusedSpatialOneByOneConvMatchesPerSampleKernelBitwise) {
+  KernelRig rig(ConvGeom{8, 8, 8, 1, 1, 1, 0});
+  expect_spatial_parity(rig);
+}
+
 // --- WeightPanelCache union-mask keying -----------------------------------
 
 TEST(CoarsenCache, UnionMaskKeysHitAfterFirstPack) {
@@ -376,23 +491,22 @@ TEST(CoarsenCache, UnionMaskKeysHitAfterFirstPack) {
 
   nn::WeightPanelCache cache;
   cache.prepare(out_c, in_c, kk);
-  (void)nn::pack_weight_panel(w.data(), in_c, kk, exact, oc,
-                              /*spatial_layout=*/false, cache);
+  (void)nn::pack_weight_panel(w.data(), in_c, kk, exact, oc, cache);
   EXPECT_EQ(cache.misses.get(), 1);
-  const float* u1 = nn::pack_weight_panel(w.data(), in_c, kk, uni, oc,
-                                          false, cache);
+  const float* u1 =
+      nn::pack_weight_panel(w.data(), in_c, kk, uni, oc, cache);
   EXPECT_EQ(cache.misses.get(), 2);
   // Same union kept set again: a hit on its own way, not a repack — and
   // the exact set's panel is still resident (distinct keys, distinct ways).
-  const float* u2 = nn::pack_weight_panel(w.data(), in_c, kk, uni, oc,
-                                          false, cache);
+  const float* u2 =
+      nn::pack_weight_panel(w.data(), in_c, kk, uni, oc, cache);
   EXPECT_EQ(cache.hits.get(), 1);
   EXPECT_EQ(u1, u2);
-  (void)nn::pack_weight_panel(w.data(), in_c, kk, exact, oc, false, cache);
+  (void)nn::pack_weight_panel(w.data(), in_c, kk, exact, oc, cache);
   EXPECT_EQ(cache.hits.get(), 2);
   // The union panel's contents match an uncached pack of the same sets.
   std::vector<float> ref(uni.size() * static_cast<size_t>(out_c) * kk);
-  nn::pack_weight_panel_into(w.data(), in_c, kk, uni, oc, false, ref.data());
+  nn::pack_weight_panel_into(w.data(), in_c, kk, uni, oc, ref.data());
   EXPECT_EQ(std::memcmp(u2, ref.data(), ref.size() * sizeof(float)), 0);
 }
 

@@ -138,8 +138,8 @@ struct CacheFixture {
   }
 
   void pack(const std::vector<int>& ch) {
-    const float* p = nn::pack_weight_panel(w.data(), kInC, kKk, ch, all_out,
-                                           /*spatial_layout=*/false, cache);
+    const float* p =
+        nn::pack_weight_panel(w.data(), kInC, kKk, ch, all_out, cache);
     ASSERT_NE(p, nullptr);
   }
 };

@@ -317,6 +317,34 @@ TEST_F(MaskedConvTest, RejectsOutOfRangeMaskIndices) {
   EXPECT_THROW(conv_->set_runtime_masks(bad2), Error);
 }
 
+TEST_F(MaskedConvTest, RejectsDuplicateUnsortedAndNegativeMaskIndices) {
+  // Index sets must be strictly increasing and positions non-negative:
+  // a duplicate position would reach the spatial kernels' inverse table
+  // once but the per-sample scatter twice, and a negative one would be an
+  // out-of-bounds gather. Both set_runtime_masks overloads validate.
+  const auto rejects = [&](void (*set)(ConvRuntimeMask&)) {
+    std::vector<ConvRuntimeMask> bad(2);
+    set(bad[1]);
+    EXPECT_THROW(
+        conv_->set_runtime_masks(std::span<const ConvRuntimeMask>(bad)),
+        Error);
+    EXPECT_THROW(conv_->set_runtime_masks(std::move(bad)), Error);
+  };
+  rejects([](ConvRuntimeMask& m) { m.channels = {0, 0}; });
+  rejects([](ConvRuntimeMask& m) { m.channels = {2, 1}; });
+  rejects([](ConvRuntimeMask& m) { m.positions = {3, 3}; });
+  rejects([](ConvRuntimeMask& m) { m.positions = {5, 2}; });
+  rejects([](ConvRuntimeMask& m) { m.positions = {-1}; });
+  rejects([](ConvRuntimeMask& m) { m.positions = {-2, 4, 9}; });
+  rejects([](ConvRuntimeMask& m) { m.out_channels = {2, 2}; });
+  rejects([](ConvRuntimeMask& m) { m.out_channels = {3, 1}; });
+  std::vector<ConvRuntimeMask> ok(2);
+  ok[1].channels = {0, 2};
+  ok[1].positions = {0, 4, 9};
+  ok[1].out_channels = {1, 3};
+  EXPECT_NO_THROW(conv_->set_runtime_masks(ok));
+}
+
 TEST(MaskedConv, SpatialMaskOnStridedConvThrows) {
   Conv2d conv(2, 2, 3, 2, 1, false);
   Rng rng(1);
