@@ -524,97 +524,6 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
   return {e.qpanel.data(), e.qwsum.data(), e.qscale.data()};
 }
 
-int64_t conv_batch_dense(const float* x_base, int64_t in_floats,
-                         const ConvGeom& g, const float* w, int out_c,
-                         const float* bias, int n, float* y_base,
-                         int64_t out_floats, Workspace& ws, int64_t tile) {
-  const int64_t patch = g.patch_rows();
-  const int64_t pos = g.out_positions();
-  if (tile > 0 && tile < pos) {
-    // Spatially-tiled regime: lower a cache-sized [patch x tile] panel,
-    // run the GEMM into a [out_c x tile] tile output, store that tile's
-    // columns (bias fused into the copy), then reuse the panel for the
-    // next position range. Per output element the GEMM accumulates in
-    // ascending-k order regardless of the column count and the stored
-    // value is src + bias either way, so the result is bitwise identical
-    // to the untiled path.
-    const Workspace::Mark scratch = ws.mark();
-    float* cols = ws.alloc_floats(patch * tile);
-    float* y_tile = ws.alloc_floats(static_cast<int64_t>(out_c) * tile);
-    for (int b = 0; b < n; ++b) {
-      const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-      float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-        obs::PhaseScope tile_span(obs::Phase::kTile);
-        const int64_t tw = std::min(tile, pos - p0);
-        {
-          obs::PhaseScope span(obs::Phase::kIm2col);
-          parallel_for(
-              0, g.in_c,
-              [&](int64_t c0, int64_t c1) {
-                im2col_range_pos(xb, g, static_cast<int>(c0),
-                                 static_cast<int>(c1), p0, p0 + tw, cols,
-                                 tw);
-              },
-              /*grain=*/1);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kGemm);
-          gemm_nn(out_c, static_cast<int>(tw), static_cast<int>(patch), 1.f,
-                  w, cols, 0.f, y_tile, &ws);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kScatter);
-          for (int oc = 0; oc < out_c; ++oc) {
-            const float* src = y_tile + static_cast<int64_t>(oc) * tw;
-            float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
-            if (bias != nullptr) {
-              scatter_bias_row(src, dst, tw, bias[oc]);
-            } else {
-              std::memcpy(dst, src, static_cast<size_t>(tw) * sizeof(float));
-            }
-          }
-        }
-      }
-    }
-    ws.rewind(scratch);
-    return static_cast<int64_t>(out_c) * pos * patch * n;
-  }
-  const Workspace::Mark scratch = ws.mark();
-  // One shared im2col buffer (the arena footprint of the pre-batched
-  // path): each sample's lowering parallelizes across CHANNEL ranges
-  // into disjoint rows, then its GEMM runs straight into the output (row
-  // panels parallelize internally), so the batch gains parallelism
-  // without an n-times scratch blowup or a restaging copy.
-  float* cols = ws.alloc_floats(patch * pos);
-  for (int b = 0; b < n; ++b) {
-    const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-    {
-      obs::PhaseScope span(obs::Phase::kIm2col);
-      parallel_for(
-          0, g.in_c,
-          [&](int64_t c0, int64_t c1) {
-            im2col_range(xb, g, static_cast<int>(c0), static_cast<int>(c1),
-                         cols);
-          },
-          /*grain=*/1);
-    }
-    float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-    {
-      obs::PhaseScope span(obs::Phase::kGemm);
-      gemm_nn(out_c, static_cast<int>(pos), static_cast<int>(patch), 1.f, w,
-              cols, 0.f, yb, &ws);
-      if (bias != nullptr) {
-        for (int oc = 0; oc < out_c; ++oc) {
-          add_bias_row(yb + static_cast<int64_t>(oc) * pos, pos, bias[oc]);
-        }
-      }
-    }
-  }
-  ws.rewind(scratch);
-  return static_cast<int64_t>(out_c) * pos * patch * n;
-}
-
 namespace {
 
 // Bytes of one quantized input plane, bordered by the conv's padding.
@@ -666,168 +575,6 @@ void lower_tile_u8(const uint8_t* planes, int members, int ck,
       },
       /*grain=*/1);
 }
-
-}  // namespace
-
-int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
-                            const ConvGeom& g, const Int8ConvWeights& qw,
-                            int out_c, const float* bias, int n,
-                            float* y_base, int64_t out_floats,
-                            Workspace& ws, int64_t tile) {
-  const int64_t patch = g.patch_rows();
-  const int64_t pos = g.out_positions();
-  const int64_t p4 = int8_align4(patch);
-  AD_CHECK_EQ(p4, qw.row_stride);
-  // Untiled is one tile of every position.
-  const bool tiled = tile > 0 && tile < pos;
-  const int64_t tile_w = tiled ? tile : pos;
-  const int64_t plane = static_cast<int64_t>(g.in_h) * g.in_w;
-  const Workspace::Mark scratch = ws.mark();
-  uint8_t* planes = ws.alloc<uint8_t>(g.in_c * padded_plane_bytes(g));
-  uint8_t* qcols = ws.alloc<uint8_t>(p4 * tile_w);
-  for (int b = 0; b < n; ++b) {
-    const float* xb = x_base + static_cast<int64_t>(b) * in_floats;
-    float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-    // Each sample is its own group: one scale over its input planes.
-    const float sa = quantize_planes(
-        [&](int64_t c) { return xb + c * plane; }, g.in_c, g, planes);
-    for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
-      std::optional<obs::PhaseScope> tile_span;
-      if (tiled) tile_span.emplace(obs::Phase::kTile);
-      const int64_t tw = std::min(tile_w, pos - p0);
-      {
-        obs::PhaseScope span(obs::Phase::kIm2col);
-        lower_tile_u8(planes, 1, g.in_c, g, p0, tw, qcols);
-      }
-      {
-        // The igemm writes its dequantized tile straight into the output
-        // slot (ldy = pos).
-        obs::PhaseScope span(obs::Phase::kGemm);
-        igemm_u8s8_dequant(out_c, tw, p4, qw.q.data(), qw.row_stride, qcols,
-                           qw.wsum.data(), qw.scale.data(), sa, yb + p0,
-                           pos);
-        if (bias != nullptr) {
-          for (int oc = 0; oc < out_c; ++oc) {
-            add_bias_row(yb + static_cast<int64_t>(oc) * pos + p0, tw,
-                         bias[oc]);
-          }
-        }
-      }
-    }
-  }
-  ws.rewind(scratch);
-  return static_cast<int64_t>(out_c) * pos * patch * n;
-}
-
-int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
-                             const ConvGeom& g, const Int8ConvWeights& qw,
-                             int out_c, const float* bias,
-                             const ConvRuntimeMask& m,
-                             std::span<const int> samples,
-                             const ConvIdentityIndices& ids,
-                             WeightPanelCache* cache, float* y_base,
-                             int64_t out_floats, Workspace& ws,
-                             int64_t tile) {
-  AD_CHECK(m.positions.empty())
-      << " spatial-masked groups run the f32 shift-GEMM fallback";
-  const int in_c = g.in_c;
-  const int64_t pos = g.out_positions();
-  const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
-  const int gs = static_cast<int>(samples.size());
-  AD_CHECK_GT(gs, 0);
-
-  const std::span<const int> ch =
-      m.channels.empty()
-          ? std::span<const int>(ids.channels, static_cast<size_t>(in_c))
-          : std::span<const int>(m.channels);
-  const std::span<const int> oc_set =
-      m.out_channels.empty()
-          ? std::span<const int>(ids.out, static_cast<size_t>(out_c))
-          : std::span<const int>(m.out_channels);
-  const int ck = static_cast<int>(ch.size());
-  const int ok = static_cast<int>(oc_set.size());
-  const int patch_k = ck * static_cast<int>(kk);
-  const int64_t p4 = int8_align4(patch_k);
-  const bool tiled = tile > 0 && tile < pos;
-  const int64_t tile_w = tiled ? tile : pos;
-  const int64_t plane = static_cast<int64_t>(g.in_h) * g.in_w;
-
-  const Workspace::Mark per_group = ws.mark();
-  Int8Panel panel;
-  {
-    obs::PhaseScope span(obs::Phase::kPack);
-    if (cache != nullptr) {
-      panel = pack_weight_panel_i8(qw, static_cast<int>(kk), ch, oc_set,
-                                   *cache);
-    } else {
-      // Cross-group parallel regime: pack into this worker's arena slice.
-      int8_t* qdst = ws.alloc<int8_t>(static_cast<int64_t>(ok) * p4);
-      int32_t* wsum = ws.alloc<int32_t>(ok);
-      float* scale = ws.alloc_floats(ok);
-      pack_weight_panel_i8_into(qw, static_cast<int>(kk), ch, oc_set, qdst,
-                                wsum, scale);
-      panel = {qdst, wsum, scale};
-    }
-  }
-  // Every member's kept planes, quantized once at the group's scale; each
-  // tile's operand is [p4/4][gs*tw][4] with the members side by side, and
-  // its dequantized output is scattered before the next tile is lowered.
-  const int64_t ldt = static_cast<int64_t>(gs) * tile_w;
-  uint8_t* planes =
-      ws.alloc<uint8_t>(static_cast<int64_t>(gs) * ck * padded_plane_bytes(g));
-  uint8_t* qcols = ws.alloc<uint8_t>(p4 * ldt);
-  float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
-  const float sa = quantize_planes(
-      [&](int64_t i) {
-        const int b = samples[static_cast<size_t>(i / ck)];
-        return x_base + static_cast<int64_t>(b) * in_floats +
-               ch[static_cast<size_t>(i % ck)] * plane;
-      },
-      static_cast<int64_t>(gs) * ck, g, planes);
-  for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
-    std::optional<obs::PhaseScope> tile_span;
-    if (tiled) tile_span.emplace(obs::Phase::kTile);
-    const int64_t tw = std::min(tile_w, pos - p0);
-    const int64_t ldc_t = static_cast<int64_t>(gs) * tw;
-    {
-      obs::PhaseScope span(obs::Phase::kGather);
-      lower_tile_u8(planes, gs, ck, g, p0, tw, qcols);
-    }
-    {
-      obs::PhaseScope span(obs::Phase::kGemm);
-      igemm_u8s8_dequant(ok, ldc_t, p4, panel.panel, p4, qcols, panel.wsum,
-                         panel.scale, sa, y_sub, ldc_t);
-    }
-    {
-      obs::PhaseScope span(obs::Phase::kScatter);
-      parallel_for(
-          0, gs,
-          [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              const int b = samples[static_cast<size_t>(s)];
-              float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-              for (int oi = 0; oi < ok; ++oi) {
-                const int oc = oc_set[static_cast<size_t>(oi)];
-                const float* src =
-                    y_sub + static_cast<int64_t>(oi) * ldc_t + s * tw;
-                float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
-                if (bias != nullptr) {
-                  scatter_bias_row(src, dst, tw, bias[oc]);
-                } else {
-                  std::memcpy(dst, src,
-                              static_cast<size_t>(tw) * sizeof(float));
-                }
-              }
-            }
-          },
-          /*grain=*/1);
-    }
-  }
-  ws.rewind(per_group);
-  return static_cast<int64_t>(ok) * pos * patch_k * gs;
-}
-
-namespace {
 
 // Register tile of the fused spatial kernel: kSpatialRows filters by
 // kSpatialCols gathered columns, gemm_nn's 4 x 16 micro-kernel shape. The
@@ -1051,6 +798,173 @@ int64_t conv_group_spatial(const float* x_base, int64_t in_floats,
   return static_cast<int64_t>(ok) * pk * ck * kk * gs;
 }
 
+// Channel/filter skipping for one mask group, and the keep-all dense step
+// (a one-member group with an empty mask). One pipeline for both regimes:
+// the kept-filter weight panel (packed only when a channel or filter is
+// dropped; full kept sets read the f32 weights or the plan's int8 rows in
+// place), in int8 every member's kept planes quantized once at one scale,
+// then per tile of output positions lower -> (i)gemm -> store. Members sit
+// side by side as column slices of one operand, so the whole group is ONE
+// compacted GEMM per tile.
+int64_t conv_group_channels(const float* x_base, int64_t in_floats,
+                            const ConvGeom& g, const float* w,
+                            const Int8ConvWeights* qw, int out_c,
+                            const float* bias, std::span<const int> ch,
+                            std::span<const int> oc_set,
+                            std::span<const int> samples,
+                            WeightPanelCache* cache, float* y_base,
+                            int64_t out_floats, Workspace& ws,
+                            int64_t tile) {
+  const int in_c = g.in_c;
+  const int64_t pos = g.out_positions();
+  const int kk = g.k_h * g.k_w;
+  const int gs = static_cast<int>(samples.size());
+  const int ck = static_cast<int>(ch.size());
+  const int ok = static_cast<int>(oc_set.size());
+  const int patch_k = ck * kk;
+  const int64_t p4 = int8_align4(patch_k);
+  // A one-member group that keeps every filter owns whole output rows: its
+  // (i)gemm writes each tile straight into them. Every other group goes
+  // through the compacted y_sub and the scatter.
+  const bool direct = gs == 1 && ok == out_c;
+  const bool tiled = tile > 0 && tile < pos;
+  const int64_t tile_w = tiled ? tile : pos;
+  const int64_t ldt = static_cast<int64_t>(gs) * tile_w;
+
+  const float* w_panel = w;
+  Int8Panel q_panel;
+  if (qw != nullptr) {
+    AD_CHECK_EQ(qw->row_stride, int8_align4(static_cast<int64_t>(in_c) * kk));
+    q_panel = {qw->q.data(), qw->wsum.data(), qw->scale.data()};
+  }
+  if (ck < in_c || ok < out_c) {
+    obs::PhaseScope span(obs::Phase::kPack);
+    if (qw != nullptr && cache != nullptr) {
+      q_panel = pack_weight_panel_i8(*qw, kk, ch, oc_set, *cache);
+    } else if (qw != nullptr) {
+      // Cross-group parallel regime: pack into this worker's arena slice.
+      int8_t* qdst = ws.alloc<int8_t>(static_cast<int64_t>(ok) * p4);
+      int32_t* wsum = ws.alloc<int32_t>(ok);
+      float* scale = ws.alloc_floats(ok);
+      pack_weight_panel_i8_into(*qw, kk, ch, oc_set, qdst, wsum, scale);
+      q_panel = {qdst, wsum, scale};
+    } else if (cache != nullptr) {
+      w_panel = pack_weight_panel(w, in_c, kk, ch, oc_set, *cache);
+    } else {
+      float* panel = ws.alloc_floats(static_cast<int64_t>(ok) * patch_k);
+      pack_weight_panel_into(w, in_c, kk, ch, oc_set, panel);
+      w_panel = panel;
+    }
+  }
+
+  const int64_t plane = static_cast<int64_t>(g.in_h) * g.in_w;
+  const auto member_x = [&](int64_t s) {
+    return x_base +
+           static_cast<int64_t>(samples[static_cast<size_t>(s)]) * in_floats;
+  };
+  const auto member_y = [&](int64_t s) {
+    return y_base +
+           static_cast<int64_t>(samples[static_cast<size_t>(s)]) * out_floats;
+  };
+  float* cols = nullptr;
+  uint8_t* planes = nullptr;
+  uint8_t* qcols = nullptr;
+  if (qw == nullptr) {
+    cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldt);
+  } else {
+    planes = ws.alloc<uint8_t>(static_cast<int64_t>(gs) * ck *
+                               padded_plane_bytes(g));
+    qcols = ws.alloc<uint8_t>(p4 * ldt);
+  }
+  float* y_sub =
+      direct ? nullptr : ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
+  // Plane i of the group is kept channel i % ck of member i / ck.
+  const float sa =
+      qw == nullptr
+          ? 0.f
+          : quantize_planes(
+                [&](int64_t i) {
+                  return member_x(i / ck) +
+                         ch[static_cast<size_t>(i % ck)] * plane;
+                },
+                static_cast<int64_t>(gs) * ck, g, planes);
+
+  for (int64_t p0 = 0; p0 < pos; p0 += tile_w) {
+    std::optional<obs::PhaseScope> tile_span;
+    if (tiled) tile_span.emplace(obs::Phase::kTile);
+    const int64_t tw = std::min(tile_w, pos - p0);
+    const int64_t ld = static_cast<int64_t>(gs) * tw;
+    {
+      // Member s fills columns [s * tw, (s + 1) * tw) of every row.
+      obs::PhaseScope span(ck == in_c ? obs::Phase::kIm2col
+                                      : obs::Phase::kGather);
+      if (qw != nullptr) {
+        lower_tile_u8(planes, gs, ck, g, p0, tw, qcols);
+      } else {
+        // One (member, kept channel) pair per item, so a one-member group
+        // still lowers its channels in parallel; a chunk lowers each
+        // member's run of channels in one call.
+        parallel_for(
+            0, static_cast<int64_t>(gs) * ck,
+            [&](int64_t i0, int64_t i1) {
+              for (int64_t i = i0; i < i1;) {
+                const int64_t s = i / ck, ci = i % ck;
+                const int64_t run = std::min<int64_t>(ck - ci, i1 - i);
+                im2col_gather_pos_ld(
+                    member_x(s), g,
+                    ch.subspan(static_cast<size_t>(ci),
+                               static_cast<size_t>(run)),
+                    p0, p0 + tw, cols + ci * kk * ld + s * tw, ld);
+                i += run;
+              }
+            },
+            /*grain=*/1);
+      }
+    }
+    float* dst = direct ? member_y(0) + p0 : y_sub;
+    const int64_t ldd = direct ? pos : ld;
+    {
+      obs::PhaseScope span(obs::Phase::kGemm);
+      if (qw != nullptr) {
+        igemm_u8s8_dequant(ok, ld, p4, q_panel.panel, p4, qcols, q_panel.wsum,
+                           q_panel.scale, sa, dst, ldd);
+      } else {
+        gemm_nn(ok, static_cast<int>(ld), patch_k, 1.f, w_panel, cols, 0.f,
+                dst, &ws, ldd);
+      }
+      if (direct && bias != nullptr) {
+        for (int oc = 0; oc < out_c; ++oc) {
+          add_bias_row(dst + static_cast<int64_t>(oc) * pos, tw, bias[oc]);
+        }
+      }
+    }
+    if (direct) continue;
+    obs::PhaseScope span(obs::Phase::kScatter);
+    parallel_for(
+        0, gs,
+        [&](int64_t s0, int64_t s1) {
+          for (int64_t s = s0; s < s1; ++s) {
+            float* yb = member_y(s);
+            for (int oi = 0; oi < ok; ++oi) {
+              const int oc = oc_set[static_cast<size_t>(oi)];
+              const float* src =
+                  y_sub + static_cast<int64_t>(oi) * ld + s * tw;
+              float* out = yb + static_cast<int64_t>(oc) * pos + p0;
+              if (bias != nullptr) {
+                // Fused copy+bias: the same value per element as
+                // copy-then-add.
+                scatter_bias_row(src, out, tw, bias[oc]);
+              } else {
+                std::memcpy(out, src, static_cast<size_t>(tw) * sizeof(float));
+              }
+            }
+          }
+        },
+        /*grain=*/1);
+  }
+  return static_cast<int64_t>(ok) * pos * patch_k * gs;
+}
+
 }  // namespace
 
 int64_t conv_group_masked(const float* x_base, int64_t in_floats,
@@ -1059,160 +973,29 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           std::span<const int> samples,
                           const ConvIdentityIndices& ids,
                           WeightPanelCache* cache, float* y_base,
-                          int64_t out_floats, Workspace& ws, int64_t tile) {
-  const int in_c = g.in_c;
-  const int64_t pos = g.out_positions();
-  const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
-  const int gs = static_cast<int>(samples.size());
-  AD_CHECK_GT(gs, 0);
-
+                          int64_t out_floats, Workspace& ws, int64_t tile,
+                          const Int8ConvWeights* qw) {
+  AD_CHECK_GT(samples.size(), 0u);
   const std::span<const int> ch =
       m.channels.empty()
-          ? std::span<const int>(ids.channels, static_cast<size_t>(in_c))
+          ? std::span<const int>(ids.channels, static_cast<size_t>(g.in_c))
           : std::span<const int>(m.channels);
   const std::span<const int> oc_set =
       m.out_channels.empty()
           ? std::span<const int>(ids.out, static_cast<size_t>(out_c))
           : std::span<const int>(m.out_channels);
-  const int ck = static_cast<int>(ch.size());
-  const int ok = static_cast<int>(oc_set.size());
-  int64_t macs = 0;
-
   const Workspace::Mark per_group = ws.mark();
-  if (m.positions.empty()) {
-    // Channel / filter skipping: ONE compacted GEMM for the whole group.
-    // Every member's kept-channel patches occupy a column slice of the
-    // shared B matrix, and the kept-filter weight panel is packed once
-    // (or reused from the cross-pass cache).
-    const int patch_k = ck * g.k_h * g.k_w;
-    const int64_t ldc = static_cast<int64_t>(gs) * pos;
-    const float* w_panel;
-    {
-      obs::PhaseScope span(obs::Phase::kPack);
-      if (cache != nullptr) {
-        w_panel = pack_weight_panel(w, in_c, static_cast<int>(kk), ch, oc_set,
-                                    *cache);
-      } else {
-        // Cross-group parallel regime: pack into this worker's arena slice.
-        float* panel = ws.alloc_floats(static_cast<int64_t>(ok) * patch_k);
-        pack_weight_panel_into(w, in_c, static_cast<int>(kk), ch, oc_set,
-                               panel);
-        w_panel = panel;
-      }
-    }
-    if (tile > 0 && tile < pos) {
-      // Spatially-tiled group (see conv_group_masked_i8 for the shape):
-      // per-column GEMM accumulation order is unchanged and the scatter
-      // stores the same per-element expression, so the tiled group output
-      // is bitwise identical to the untiled one.
-      const int64_t ldt = static_cast<int64_t>(gs) * tile;
-      float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldt);
-      float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
-      for (int64_t p0 = 0; p0 < pos; p0 += tile) {
-        obs::PhaseScope tile_span(obs::Phase::kTile);
-        const int64_t tw = std::min(tile, pos - p0);
-        const int64_t ldc_t = static_cast<int64_t>(gs) * tw;
-        {
-          obs::PhaseScope span(obs::Phase::kGather);
-          parallel_for(
-              0, gs,
-              [&](int64_t s0, int64_t s1) {
-                for (int64_t s = s0; s < s1; ++s) {
-                  const int b = samples[static_cast<size_t>(s)];
-                  im2col_gather_pos_ld(
-                      x_base + static_cast<int64_t>(b) * in_floats, g, ch,
-                      p0, p0 + tw, cols + s * tw, ldc_t);
-                }
-              },
-              /*grain=*/1);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kGemm);
-          gemm_nn(ok, static_cast<int>(ldc_t), patch_k, 1.f, w_panel, cols,
-                  0.f, y_sub, &ws);
-        }
-        {
-          obs::PhaseScope span(obs::Phase::kScatter);
-          parallel_for(
-              0, gs,
-              [&](int64_t s0, int64_t s1) {
-                for (int64_t s = s0; s < s1; ++s) {
-                  const int b = samples[static_cast<size_t>(s)];
-                  float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-                  for (int oi = 0; oi < ok; ++oi) {
-                    const int oc = oc_set[static_cast<size_t>(oi)];
-                    const float* src =
-                        y_sub + static_cast<int64_t>(oi) * ldc_t + s * tw;
-                    float* dst = yb + static_cast<int64_t>(oc) * pos + p0;
-                    if (bias != nullptr) {
-                      scatter_bias_row(src, dst, tw, bias[oc]);
-                    } else {
-                      std::memcpy(dst, src,
-                                  static_cast<size_t>(tw) * sizeof(float));
-                    }
-                  }
-                }
-              },
-              /*grain=*/1);
-        }
-      }
-      ws.rewind(per_group);
-      return static_cast<int64_t>(ok) * pos * patch_k * gs;
-    }
-    float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * ldc);
-    const std::span<const int> all_pos(ids.positions,
-                                       static_cast<size_t>(pos));
-    {
-      obs::PhaseScope span(obs::Phase::kGather);
-      parallel_for(
-          0, gs,
-          [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              const int b = samples[static_cast<size_t>(s)];
-              im2col_gather_ld(x_base + static_cast<int64_t>(b) * in_floats,
-                               g, ch, all_pos, cols + s * pos, ldc);
-            }
-          },
-          /*grain=*/1);
-    }
-    float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldc);
-    {
-      obs::PhaseScope span(obs::Phase::kGemm);
-      gemm_nn(ok, static_cast<int>(ldc), patch_k, 1.f, w_panel, cols, 0.f,
-              y_sub, &ws);
-    }
-    {
-      obs::PhaseScope span(obs::Phase::kScatter);
-      parallel_for(
-          0, gs,
-          [&](int64_t s0, int64_t s1) {
-            for (int64_t s = s0; s < s1; ++s) {
-              const int b = samples[static_cast<size_t>(s)];
-              float* yb = y_base + static_cast<int64_t>(b) * out_floats;
-              for (int oi = 0; oi < ok; ++oi) {
-                const int oc = oc_set[static_cast<size_t>(oi)];
-                const float* src = y_sub + static_cast<int64_t>(oi) * ldc +
-                                   s * pos;
-                float* dst = yb + static_cast<int64_t>(oc) * pos;
-                if (bias != nullptr) {
-                  // Fused copy+bias: one pass over the row, same value per
-                  // element as copy-then-add.
-                  scatter_bias_row(src, dst, pos, bias[oc]);
-                } else {
-                  std::memcpy(dst, src,
-                              static_cast<size_t>(pos) * sizeof(float));
-                }
-              }
-            }
-          },
-          /*grain=*/1);
-    }
-    macs = static_cast<int64_t>(ok) * pos * patch_k * gs;
-  } else {
-    macs = conv_group_spatial(x_base, in_floats, g, w, bias, ch, oc_set,
-                              m.positions, samples, y_base, out_floats, ws);
-  }
-
+  // Groups with spatial positions run the f32 shift-GEMM in both regimes:
+  // in int8 a documented mixed-regime fallback, since its offset-by-offset
+  // accumulation into the output planes has no int8 formulation that keeps
+  // its skip ratio.
+  const int64_t macs =
+      m.positions.empty()
+          ? conv_group_channels(x_base, in_floats, g, w, qw, out_c, bias, ch,
+                                oc_set, samples, cache, y_base, out_floats,
+                                ws, tile)
+          : conv_group_spatial(x_base, in_floats, g, w, bias, ch, oc_set,
+                               m.positions, samples, y_base, out_floats, ws);
   ws.rewind(per_group);
   return macs;
 }
@@ -1238,44 +1021,6 @@ void shortcut_subsample_into(const float* x, int n, int in_c, int h, int w,
   }
 }
 
-size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
-                                      bool int8_regime, int64_t tile) {
-  // Batch-independent: one shared im2col buffer plus one sample's GEMM
-  // panels (samples run sequentially between the same marks).
-  (void)n;
-  const int64_t patch = g.patch_rows();
-  const int64_t pos = g.out_positions();
-  // Int8 dense path: one sample's quantized input planes plus one u8
-  // operand tile (the igemm writes straight into the output slot and needs
-  // no pack panels).
-  const auto i8_path = [&](int64_t width) {
-    return Workspace::align_up(
-               static_cast<size_t>(g.in_c * padded_plane_bytes(g))) +
-           Workspace::align_up(static_cast<size_t>(int8_align4(patch)) *
-                               width);
-  };
-  if (tile > 0 && tile < pos) {
-    // Tiled regime: the tile panel + tile output + the GEMM's panels at
-    // tile width (gemm_nn_scratch_bytes is monotone nondecreasing in n,
-    // so the full tile bounds the ragged tail).
-    size_t worst =
-        Workspace::align_up(static_cast<size_t>(patch) * tile *
-                            sizeof(float)) +
-        Workspace::align_up(static_cast<size_t>(out_c) * tile *
-                            sizeof(float)) +
-        gemm_nn_scratch_bytes(out_c, static_cast<int>(tile),
-                              static_cast<int>(patch));
-    if (int8_regime) worst = std::max(worst, i8_path(tile));
-    return worst;
-  }
-  size_t worst = Workspace::align_up(static_cast<size_t>(patch) * pos *
-                                     sizeof(float)) +
-                 gemm_nn_scratch_bytes(out_c, static_cast<int>(pos),
-                                       static_cast<int>(patch));
-  if (int8_regime) worst = std::max(worst, i8_path(pos));
-  return worst;
-}
-
 size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
                                        bool int8_regime, int64_t tile,
                                        bool spatial_masks) {
@@ -1283,11 +1028,13 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
   const int64_t pos = g.out_positions();
   const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
   const bool tiled = tile > 0 && tile < pos;
-  // The tiled channel path allocates its buffers at the full-tile group
-  // width gs * tile; untiled at gs * pos.
+  // The channel path allocates its buffers at the full-tile group width
+  // gs * tile; untiled is one tile of gs * pos.
   const int64_t ldc = static_cast<int64_t>(gs) * (tiled ? tile : pos);
-  // Channel/filter path with full index sets (the weight panel lives in
-  // the cross-pass cache, not the arena).
+  // Channel/filter path with full index sets: the f32 lowered tile, y_sub
+  // and the GEMM's panels (a direct-store group skips y_sub, so this bounds
+  // it too; a packed weight panel lives in the cross-pass cache or in the
+  // worker slice, see conv_group_masked_slice_bytes).
   size_t channel_path =
       Workspace::align_up(static_cast<size_t>(patch) * ldc * sizeof(float)) +
       Workspace::align_up(static_cast<size_t>(out_c) * ldc * sizeof(float)) +
@@ -1332,10 +1079,11 @@ size_t conv_group_masked_slice_bytes(const ConvGeom& g, int out_c, int gs,
                                      bool int8_regime, int64_t tile,
                                      bool spatial_masks) {
   // Cache-less regime: the channel path's worker packs the kept-filter
-  // weight panel into its slice, at most the full weight size (full kept
-  // sets); under int8 it may instead pack the int8 panel + wsum + scale
-  // triplet, so the larger of the two pack footprints is reserved. The
-  // spatial path reads its weights in place and packs nothing.
+  // weight panel into its slice, bounded by the full weight size (full kept
+  // sets themselves pack nothing); under int8 it may instead pack the int8
+  // panel + wsum + scale triplet, so the larger of the two pack footprints
+  // is reserved. The spatial path reads its weights in place and packs
+  // nothing.
   const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
   size_t pack_bytes = Workspace::align_up(
       static_cast<size_t>(out_c) * g.in_c * kk * sizeof(float));

@@ -11,21 +11,22 @@
 //     epilogue; the kernels own the arithmetic and draw every scratch
 //     buffer from the caller's Workspace between a mark/rewind pair the
 //     *caller* brackets.
-//   - mask-grouped batch kernels (conv_batch_dense / conv_group_masked):
-//     the plan executor's hot path. A *mask group* is a set of batch
-//     samples whose runtime masks are identical; the group kernel gathers
-//     every member's kept inputs into ONE compacted activation block and
-//     runs a single multi-sample GEMM instead of per-sample scatter
-//     kernels. Channel masks pack the kept filter rows ONCE into a weight
-//     panel (cached across passes by kept set, so static filter masks
-//     never repack); spatial masks read the weights in place.
-//     Per-element accumulation order is unchanged, so grouped outputs are
-//     bitwise identical to the per-sample kernels'.
+//   - the mask-group kernel (conv_group_masked): the plan executor's only
+//     conv step. A *mask group* is a set of batch samples whose runtime
+//     masks are identical; the kernel gathers every member's kept inputs
+//     into ONE compacted activation block and runs a single multi-sample
+//     GEMM instead of per-sample scatter kernels. A dense step is the
+//     keep-everything point of the same computation: one call per sample
+//     with an empty mask. Channel masks pack the kept filter rows ONCE
+//     into a weight panel (cached across passes by kept set, so static
+//     filter masks never repack); full kept sets and spatial masks read
+//     the weights in place. Per-element accumulation order is unchanged,
+//     so grouped outputs are bitwise identical to the per-sample kernels'.
 //
-// The matching *_scratch_bytes functions report the worst-case arena
-// high-water of one call, mirroring the allocation sequence (including
-// the packed-GEMM panels) byte for byte so the plan compiler can size an
-// arena before the first pass ever runs.
+// The matching *_bytes functions report the worst-case arena high-water
+// of one call, mirroring the allocation sequence (including the
+// packed-GEMM panels) byte for byte so the plan compiler can size an arena
+// before the first pass ever runs.
 #pragma once
 
 #include <atomic>
@@ -95,7 +96,8 @@ void add_bias_row(float* row, int64_t n, float bias);
 
 // Identity index sets used when a mask component is empty (= keep all).
 // All three spans may alias one shared ascending iota array (the plan
-// compiler builds one sized at the plan's max dimension).
+// compiler builds one sized at its largest channel count). Only
+// conv_sample_masked reads `positions`; conv_group_masked never does.
 struct ConvIdentityIndices {
   const int* channels = nullptr;   // [g.in_c]
   const int* out = nullptr;        // [out_c]
@@ -145,9 +147,10 @@ class RelaxedCounter {
 };
 
 // Cross-pass cache for the kept-filter weight panels of one conv site.
-// Only the channel/filter path packs panels: the spatial path reads its
-// weights in place (see conv_group_masked), so spatial groups never look
-// the cache up.
+// Only the channel/filter path packs panels, and only when a channel or
+// filter is dropped: keep-all groups (every dense step) and the spatial
+// path read their weights in place (see conv_group_masked), so they never
+// look the cache up.
 //
 // The cache is a kWays-way fully-associative set with exact LRU
 // replacement. A single-entry cache was miss-dominated the moment a
@@ -210,7 +213,9 @@ struct WeightPanelCache {
 // Per-conv int8 weights, quantized once at plan-compile time
 // (per-output-channel symmetric; see nn/int8_kernels.h for the scheme).
 // `q` holds [out_c][row_stride] zero-padded rows; `wsum`/`scale` are the
-// full-row byte sums and dequant scales the dense path consumes directly.
+// full-row byte sums and dequant scales. Over full kept sets they equal
+// the packed int8 panel byte for byte, so keep-all groups read them in
+// place.
 struct Int8ConvWeights {
   std::vector<int8_t> q;
   std::vector<float> scale;   // [out_c]
@@ -261,65 +266,67 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
                                std::span<const int> oc,
                                WeightPanelCache& cache);
 
-// Dense batch step: one shared im2col buffer; each sample's lowering
-// parallelizes across channel ranges, then its GEMM runs straight into
-// its output slot (parallelizing internally) and `bias` is applied. x/y
-// bases are batch-major with the given per-sample strides. Bitwise
-// identical to n conv_sample_dense calls. Returns MACs.
+// One mask group of a batch conv step, and the executor's only conv step:
+// a dense step is one call per sample with an empty (keep-all) mask.
+// `samples` are the member batch indices (all sharing kept sets `m`).
+// Bias semantics match conv_sample_masked; the caller applies any fused
+// epilogue afterwards. Unless the group stores directly (below), the
+// caller zero-fills y beforehand. Returns the MACs executed for the whole
+// group (in int8 the LOGICAL, f32-equivalent count, so cost accounting is
+// regime-comparable).
 //
-// `tile` > 0 enables spatially-tiled execution: output positions are
-// processed in column tiles of that width — lowering fills a cache-sized
-// [patch x tile] panel, the GEMM consumes it into a [out_c x tile] tile
-// output, and the tile's columns are stored (bias fused) before the next
-// tile is lowered — so im2col scratch is O(patch * tile) instead of
-// O(patch * out_positions). Tiling splits only independent GEMM output
-// columns (per-column accumulation order untouched) and the per-element
-// bias expression is unchanged, so the f32 output is bitwise identical to
-// the untiled path. tile <= 0 or >= out_positions() runs untiled.
-int64_t conv_batch_dense(const float* x_base, int64_t in_floats,
-                         const ConvGeom& g, const float* w, int out_c,
-                         const float* bias, int n, float* y_base,
-                         int64_t out_floats, Workspace& ws,
-                         int64_t tile = 0);
-
-// One mask group of a masked batch conv. `samples` are the member batch
-// indices (all sharing kept sets `m`); the caller zero-fills y beforehand
-// and applies any fused epilogue afterwards. Bias semantics match
-// conv_sample_masked. Returns the MACs executed for the whole group.
+// Channel/filter masks (and keep-all) run one pipeline in both regimes;
+// `qw` selects int8 (the plan's quantized weights; nullptr means f32):
+//   1. the kept-filter weight panel, packed only when some channel or
+//      filter is dropped (from the cross-pass cache, or into the worker's
+//      slice). With full kept sets the weights already are the panel, byte
+//      for byte: the f32 tensor `w`, or qw's rows, wsum and scale.
+//   2. int8 only: every member's kept input planes quantized ONCE into
+//      padded biased-u8 planes (nn/int8_kernels.h) at one scale per group,
+//      the largest |x| over those planes.
+//   3. per tile of `tile` output positions (untiled is one tile of every
+//      position): lower the members' kept channels side by side into one
+//      operand — f32 im2col rows, split over (member, kept channel) pairs,
+//      or u8 quads from the quantized planes — then ONE (i)gemm over the
+//      group, then store.
+// A one-member group that keeps every filter owns whole output rows: its
+// (i)gemm writes each tile straight into them (gemm_nn's row stride, the
+// igemm's ldy) and the bias is added in place, so it needs no zero-fill
+// and has no scatter. Every other group's (i)gemm writes a compacted y_sub
+// tile that the scatter places into the kept filters' rows, bias fused.
+// Tiling splits only independent GEMM output columns (per-column
+// accumulation order untouched) and every tile of an int8 step quantizes
+// at the same scale, so tiled output is bitwise identical to untiled in
+// both regimes, and so is the direct store to the scatter.
 //
-// Channel/filter masks run one compacted GEMM over the members' gathered
-// patches with the kept-filter weight panel. Spatial masks run the fused
-// shift-GEMM: the members' kept input columns are gathered once into
-// zero-padded 16-column panels; each 4-filter register tile reads its
-// weights in place from `w` and, per kernel offset in ascending order,
-// writes its products into its own four rows of an [ok x gs*(pk+1)]
-// buffer (each member's kept columns and one +0.0 slot; 1/kk of a
-// stacked-offset GEMM output), then adds them into the output planes
-// through an inverse table (inv[offset][e] = the kept column feeding
-// output e, or the +0.0 slot) with SIMD gathers. Per output element the
-// products sum in ascending kept-channel order from +0 and the offsets
-// add in ascending order, as in conv_sample_masked, so the output is
-// bitwise identical to it; tiles own disjoint output rows and run in
-// parallel.
+// Spatial masks run the fused shift-GEMM in both regimes (in int8 a
+// documented mixed-regime fallback): the members' kept input columns are
+// gathered once into zero-padded 16-column panels; each 4-filter register
+// tile reads its weights in place from `w` and, per kernel offset in
+// ascending order, writes its products into its own four rows of an
+// [ok x gs*(pk+1)] buffer (each member's kept columns and one +0.0 slot;
+// 1/kk of a stacked-offset GEMM output), then adds them into the output
+// planes through an inverse table (inv[offset][e] = the kept column
+// feeding output e, or the +0.0 slot) with SIMD gathers. Per output
+// element the products sum in ascending kept-channel order from +0 and the
+// offsets add in ascending order, as in conv_sample_masked, so the output
+// is bitwise identical to it; tiles own disjoint output rows and run in
+// parallel. It ignores `tile`: it accumulates across kernel offsets into
+// whole output planes, so column tiling would not keep it a pure
+// output-column split.
 //
 // Two invocation regimes:
 //   - sequential (cache != nullptr): groups run one after another on the
-//     caller's thread; the kernel's stages parallelize internally and the
-//     channel path's weight panel comes from the cross-pass cache.
+//     caller's thread; the kernel's stages parallelize internally and a
+//     packed weight panel comes from the cross-pass cache.
 //   - cross-group parallel (cache == nullptr): the caller runs several
 //     groups concurrently, each on a pool worker with `ws` bound to a
-//     private arena slice (Workspace::bind_external). The channel path's
-//     weight panel is packed into the slice (a shared cache would race,
-//     and with >= 2 distinct kept sets per pass it could not hit anyway)
-//     and the internal parallel_fors run inline under the nested-dispatch
-//     guard. Distinct groups cover distinct samples, so outputs are
-//     disjoint and the result is bitwise identical to sequential group
-//     order.
-// `tile` > 0 tiles the CHANNEL/FILTER path over output positions (the
-// compacted B matrix becomes [patch_k x group*tile] per tile; f32 output
-// stays bitwise identical — see conv_batch_dense). The spatial path
-// ignores `tile`: it accumulates across kernel offsets into whole output
-// planes, so column tiling would not keep it a pure output-column split.
+//     private arena slice (Workspace::bind_external). A packed weight
+//     panel goes into the slice (a shared cache would race, and with >= 2
+//     distinct kept sets per pass it could not hit anyway) and the
+//     internal parallel_fors run inline under the nested-dispatch guard.
+//     Distinct groups cover distinct samples, so outputs are disjoint and
+//     the result is bitwise identical to sequential group order.
 int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvGeom& g, const float* w, int out_c,
                           const float* bias, const ConvRuntimeMask& m,
@@ -327,56 +334,8 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvIdentityIndices& ids,
                           WeightPanelCache* cache, float* y_base,
                           int64_t out_floats, Workspace& ws,
-                          int64_t tile = 0);
-
-// Int8-regime dense batch step, one sample at a time: the sample's input
-// planes are quantized ONCE at one activation scale (their largest |x|)
-// into padded biased-u8 planes (nn/int8_kernels.h), then each tile of
-// output positions is lowered straight from those planes into the igemm
-// operand, and the u8xs8 igemm writes the dequantized tile into the output
-// slot before the bias rows. No f32 im2col panel exists. Same call
-// contract as conv_batch_dense otherwise. Returns the LOGICAL MACs (the
-// f32-equivalent count, so cost accounting is regime-comparable). Untiled
-// is one tile of every position: `tile` only sets the operand width, and
-// since every tile quantizes at the same scale, tiled int8 output is
-// bitwise identical to untiled.
-int64_t conv_batch_dense_i8(const float* x_base, int64_t in_floats,
-                            const ConvGeom& g, const Int8ConvWeights& qw,
-                            int out_c, const float* bias, int n,
-                            float* y_base, int64_t out_floats,
-                            Workspace& ws, int64_t tile = 0);
-
-// Int8-regime mask group, CHANNEL/FILTER masks only (the caller routes
-// groups with spatial positions to the f32 conv_group_masked — a
-// documented mixed-regime fallback). Pipeline: pack int8 kept-filter
-// panel (cached or into the worker slice, like the f32 path) -> quantize
-// every member's kept input planes once, at ONE scale per group per step
-// (the largest |x| over those planes) -> per tile of output positions:
-// lower the members' u8 planes side by side into one igemm operand ->
-// u8xs8 igemm writing dequantized f32 y_sub -> the f32 scatter. The caller's fused epilogue
-// then applies unchanged to the f32 output. Same invocation regimes as
-// conv_group_masked. Returns logical MACs. As in conv_batch_dense_i8,
-// untiled is one tile and tiled output is bitwise identical to untiled.
-int64_t conv_group_masked_i8(const float* x_base, int64_t in_floats,
-                             const ConvGeom& g, const Int8ConvWeights& qw,
-                             int out_c, const float* bias,
-                             const ConvRuntimeMask& m,
-                             std::span<const int> samples,
-                             const ConvIdentityIndices& ids,
-                             WeightPanelCache* cache, float* y_base,
-                             int64_t out_floats, Workspace& ws,
-                             int64_t tile = 0);
-
-// Worst-case arena bytes of one conv_batch_dense call at batch n. With
-// `int8_regime` the bound also covers the int8 dense path (one sample's
-// u8 planes plus one u8 operand tile; the f32 formula is kept in the max
-// so a regime flip after reserve stays safe). `tile` must match the execution call: the
-// tiled formulas replace the full [patch x pos] panel with the tile panel
-// + tile output, and gemm_nn_scratch_bytes is monotone in n, so the
-// full-width tile bounds every ragged tail exactly.
-size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
-                                      bool int8_regime = false,
-                                      int64_t tile = 0);
+                          int64_t tile = 0,
+                          const Int8ConvWeights* qw = nullptr);
 
 // Worst-case arena bytes of one conv_group_masked call with a group of
 // `gs` samples, maximized over every mask shape the geometry admits (full
@@ -385,7 +344,8 @@ size_t conv_batch_dense_scratch_bytes(const ConvGeom& g, int out_c, int n,
 // int8 channel path — the group's u8 planes, one u8 operand tile and
 // y_sub — when `int8_regime`).
 // Monotone in gs, so a batch's worst case over any grouping is the
-// single-group-of-n value (groups run sequentially between rewinds).
+// single-group-of-n value (groups run sequentially between rewinds); it
+// covers a dense step's one-member keep-all calls too.
 // `tile` must match the execution call; the spatial path never tiles, so
 // its untiled O(gs * pos) footprint stays in the max whenever it is
 // accounted. Callers that know position masks can never reach the conv

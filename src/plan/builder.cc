@@ -254,9 +254,10 @@ InferencePlan PlanBuilder::finish() {
   // Gate-output accounting feeds arena_bytes(); per-op kernel scratch is
   // computed there directly from the op geometry (it depends on the batch
   // size under grouped execution). The plan's shared identity-index
-  // (iota) array is built once, so masked forwards never rebuild index
-  // sets; weight-panel caches are sized at reserve() time (dense-only
-  // plans never pay them) or lazily on first pack.
+  // (iota) array, sized at the largest channel count, is built once, so
+  // conv steps never rebuild index sets; weight-panel caches are sized at
+  // reserve() time (dense-only plans never pay them) or lazily on first
+  // pack.
   plan_.gate_floats_before_op_.assign(plan_.ops_.size(), 0);
   int64_t gate_floats = 0;
   int64_t max_dim = 0;
@@ -266,10 +267,8 @@ InferencePlan PlanBuilder::finish() {
     if (op.kind == OpKind::kGate) {
       gate_floats += shape_floats(op.in_shape);
     } else if (op.kind == OpKind::kConv) {
-      const ConvGeom& g = op.geom;
-      max_dim = std::max<int64_t>(max_dim, g.in_c);
+      max_dim = std::max<int64_t>(max_dim, op.geom.in_c);
       max_dim = std::max<int64_t>(max_dim, op.out_shape[0]);
-      max_dim = std::max<int64_t>(max_dim, g.out_positions());
     }
   }
   plan_.gate_floats_total_ = gate_floats;

@@ -80,10 +80,10 @@ size_t coarsen_scratch_bytes(const ConvGeom& g, int n) {
 }
 
 // Exact worst-case kernel scratch of one conv step at batch n, mirroring
-// the executor's allocation sequence byte for byte: the dense batched
-// path (per-sample im2col slices + GEMM panels) vs the mask-grouped path
-// (group-key bucketing arrays + the group kernels' scratch). The grouped
-// term covers both execution regimes:
+// the executor's allocation sequence byte for byte: the group-key
+// bucketing arrays plus the group kernels' scratch. A dense step runs one
+// keep-all group per sample, which the group-of-n bound already covers.
+// The kernel term covers both execution regimes:
 //   - sequential (1 group, or a single compute thread): groups run
 //     between rewinds, so the bound is the single-group-of-n worst case
 //     (monotone in group size).
@@ -106,9 +106,6 @@ size_t conv_step_scratch_bytes(const PlanOp& op, int n, bool int8_regime) {
   // grid-preserving conv would pay the spatial path's full-width scratch
   // whether or not spatial masks can occur.
   const bool spatial = op.prune_spatial;
-  const size_t dense =
-      nn::conv_batch_dense_scratch_bytes(g, out_c, n, int8_regime,
-                                         op.tile_pos);
   size_t masked_kernel = nn::conv_group_masked_scratch_bytes(
       g, out_c, n, int8_regime, op.tile_pos, spatial);
   const int threads = compute_threads();
@@ -127,15 +124,13 @@ size_t conv_step_scratch_bytes(const PlanOp& op, int n, bool int8_regime) {
   // serving controller, and must never be able to grow a reserved arena.
   // The planner scratch itself is rewound before any group kernel runs,
   // so it shares a max with the kernel term rather than stacking on it.
-  const size_t masked =
-      Workspace::align_up(sizeof(uint64_t) * nn_) +       // mask keys
-      Workspace::align_up(sizeof(int) * nn_) +            // sample order
-      Workspace::align_up(sizeof(int) * (nn_ + 1)) +      // group bounds
-      Workspace::align_up(sizeof(int) * nn_) +            // coarsened order
-      Workspace::align_up(sizeof(int) * (nn_ + 1)) +      // coarsened bounds
-      Workspace::align_up(sizeof(void*) * nn_) +          // group mask ptrs
-      std::max(coarsen_scratch_bytes(g, n), masked_kernel);
-  return std::max(dense, masked);
+  return Workspace::align_up(sizeof(uint64_t) * nn_) +   // mask keys
+         Workspace::align_up(sizeof(int) * nn_) +        // sample order
+         Workspace::align_up(sizeof(int) * (nn_ + 1)) +  // group bounds
+         Workspace::align_up(sizeof(int) * nn_) +        // coarsened order
+         Workspace::align_up(sizeof(int) * (nn_ + 1)) +  // coarsened bounds
+         Workspace::align_up(sizeof(void*) * nn_) +      // group mask ptrs
+         std::max(coarsen_scratch_bytes(g, n), masked_kernel);
 }
 
 // Dense-path memory traffic per MAC of a conv step under `regime`:
@@ -844,12 +839,12 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
         std::span<const nn::ConvRuntimeMask> masks =
             op.conv->take_runtime_masks();
         const Workspace::Mark scratch = ws.mark();
-        // Int8 regime: channel/filter-masked groups and the dense path run
-        // the quantized kernels; groups carrying spatial positions fall
-        // back to the f32 shift-GEMM (a documented mixed-regime step — its
-        // offset-by-offset accumulation into the output planes has no int8
-        // formulation that preserves its skip ratio).
+        // Int8 regime: the group kernel runs its channel path quantized and
+        // keeps groups carrying spatial positions on the f32 shift-GEMM.
         const bool int8 = regime_ == NumericRegime::kInt8;
+        const nn::Int8ConvWeights* qw = int8 ? &op.int8_w : nullptr;
+        // The group kernel reads only the channel and filter identities.
+        const nn::ConvIdentityIndices ids{iota_.data(), iota_.data()};
         int64_t macs = 0;
         if (!masks.empty()) {
           AD_CHECK_EQ(static_cast<int>(masks.size()), n)
@@ -867,8 +862,6 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           // Arena memory is uninitialized; pruned positions must stay zero.
           std::memset(out.data(), 0,
                       static_cast<size_t>(out.size()) * sizeof(float));
-          const nn::ConvIdentityIndices ids{iota_.data(), iota_.data(),
-                                            iota_.data()};
           // Bucket the batch by canonical mask key: a drop ratio quantizes
           // the samples into a handful of distinct kept sets, and every
           // bucket executes as ONE compacted multi-sample GEMM instead of
@@ -1144,17 +1137,10 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
                               : masks[static_cast<size_t>(order[gb])];
                       const std::span<const int> gsamples(
                           order + gb, static_cast<size_t>(ge - gb));
-                      if (int8 && gm.positions.empty()) {
-                        local += nn::conv_group_masked_i8(
-                            in.data(), in_floats, g, op.int8_w, out_c, bp,
-                            gm, gsamples, ids, /*cache=*/nullptr,
-                            out.data(), out_floats, slice, op.tile_pos);
-                      } else {
-                        local += nn::conv_group_masked(
-                            in.data(), in_floats, g, wp, out_c, bp, gm,
-                            gsamples, ids, /*cache=*/nullptr, out.data(),
-                            out_floats, slice, op.tile_pos);
-                      }
+                      local += nn::conv_group_masked(
+                          in.data(), in_floats, g, wp, out_c, bp, gm,
+                          gsamples, ids, /*cache=*/nullptr, out.data(),
+                          out_floats, slice, op.tile_pos, qw);
                     }
                     worker_macs[w].macs = local;
                   }
@@ -1172,30 +1158,23 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
                                    : masks[static_cast<size_t>(order[gb])];
               const std::span<const int> gsamples(
                   order + gb, static_cast<size_t>(ge - gb));
-              if (int8 && gm.positions.empty()) {
-                macs += nn::conv_group_masked_i8(
-                    in.data(), in_floats, g, op.int8_w, out_c, bp, gm,
-                    gsamples, ids, &op.pack_cache, out.data(), out_floats,
-                    ws, op.tile_pos);
-              } else {
-                macs += nn::conv_group_masked(in.data(), in_floats, g, wp,
-                                              out_c, bp, gm, gsamples, ids,
-                                              &op.pack_cache, out.data(),
-                                              out_floats, ws, op.tile_pos);
-              }
+              macs += nn::conv_group_masked(
+                  in.data(), in_floats, g, wp, out_c, bp, gm, gsamples, ids,
+                  &op.pack_cache, out.data(), out_floats, ws, op.tile_pos,
+                  qw);
             }
           }
           op.last_groups = groups;
         } else {
-          if (int8) {
-            macs = nn::conv_batch_dense_i8(in.data(), in_floats, g,
-                                           op.int8_w, out_c, bp, n,
-                                           out.data(), out_floats, ws,
-                                           op.tile_pos);
-          } else {
-            macs = nn::conv_batch_dense(in.data(), in_floats, g, wp, out_c,
-                                        bp, n, out.data(), out_floats, ws,
-                                        op.tile_pos);
+          // Dense step: one keep-all group per sample. Each reads the
+          // weights in place and stores straight into its output rows, so
+          // the output needs no zero-fill.
+          const nn::ConvRuntimeMask keep_all;
+          for (int b = 0; b < n; ++b) {
+            macs += nn::conv_group_masked(
+                in.data(), in_floats, g, wp, out_c, bp, keep_all,
+                std::span<const int>(&b, 1), ids, &op.pack_cache, out.data(),
+                out_floats, ws, op.tile_pos, qw);
           }
           op.last_groups = 0;
           op.last_groups_raw = 0;

@@ -133,18 +133,19 @@ const char* coarsen_mode_name(CoarsenMode mode);
 
 // --- spatially-tiled lowering ---------------------------------------------
 //
-// Every untiled conv step materializes the full [patch x out_positions]
-// im2col panel, so scratch scales linearly with resolution — at 224x224
-// the early VGG panels run to ~100 MB per sample and the GEMM operand
-// falls out of LLC. Under tiling the executor processes the GEMM's N
-// dimension in fixed-width output-position tiles: lowering fills a
-// cache-sized tile panel, the GEMM consumes it, and the tile's columns
-// are stored before the next tile is lowered, making im2col scratch
-// O(patch x tile). Tiling splits only independent GEMM output columns,
-// so f32 output (dense and grouped) is bitwise identical to the untiled
-// path; int8 quantizes a step's kept input planes once, at one scale per
-// mask group, and lowers every tile from them, so tiled int8 output is
-// bitwise identical to untiled int8 too.
+// Every conv step runs one tile loop over its output positions (the
+// channel path of nn::conv_group_masked; a dense step is one keep-all
+// group per sample): lowering fills a [patch x tile] panel, the (i)gemm
+// consumes it, and the tile's columns are stored before the next tile is
+// lowered. Untiled is one tile of every position, whose panel scales
+// linearly with resolution — at 224x224 the early VGG panels run to
+// ~100 MB per sample and the GEMM operand falls out of LLC — while a
+// cache-sized tile keeps lowering scratch O(patch x tile). Tiling splits
+// only independent GEMM output columns, so f32 output (dense and grouped)
+// is bitwise identical to the untiled path; int8 quantizes a step's kept
+// input planes once, at one scale per mask group, and lowers every tile
+// from them, so tiled int8 output is bitwise identical to untiled int8
+// too.
 
 enum class TileMode {
   kOff,    // never tile
@@ -495,8 +496,9 @@ class InferencePlan {
   // Installs the spatial tiling policy and recomputes every conv step's
   // tile width (choose_conv_tile). Changing the policy changes the
   // arena's scratch requirements, so call before reserve() — like
-  // set_regime. Shrinking tiles after a reserve stays safe only for
-  // kOff -> never; re-reserve when in doubt.
+  // set_regime. Narrower tiles fit an arena reserved for wider ones; a
+  // change that widens any step's tile (kOff, or auto choosing untiled,
+  // runs one tile of every position) needs a new reserve().
   void set_tile(TilePolicy policy);
   const TilePolicy& tile() const { return tile_; }
 
@@ -617,10 +619,10 @@ class InferencePlan {
   };
   std::unique_ptr<GroupSlices> group_slices_;
   void ensure_group_slices();
-  // Shared ascending identity indices, sized at the plan's max dimension;
-  // spans over a prefix stand in for any empty (= keep all) mask
-  // component, replacing the per-pass iota rebuilds the executor used to
-  // pay inside every masked conv op.
+  // Shared ascending identity indices, sized at the plan's largest channel
+  // count; spans over a prefix stand in for an empty (= keep all) channel
+  // or filter set, replacing the per-pass iota rebuilds the executor used
+  // to pay inside every conv op.
   std::vector<int> iota_;
 };
 

@@ -147,36 +147,25 @@ void im2col_range(const float* input, const ConvGeom& g, int c0, int c1,
   }
 }
 
-void im2col_range_pos(const float* input, const ConvGeom& g, int c0, int c1,
-                      int64_t p0, int64_t p1, float* cols, int64_t ld) {
-  AD_CHECK(0 <= c0 && c0 <= c1 && c1 <= g.in_c) << " im2col channel range";
-  AD_CHECK(0 <= p0 && p0 < p1 && p1 <= g.out_positions())
-      << " im2col position range";
-  AD_CHECK_GE(ld, p1 - p0);
-  int64_t row = static_cast<int64_t>(c0) * g.k_h * g.k_w;
-  for (int c = c0; c < c1; ++c) {
-    const float* plane = input + static_cast<int64_t>(c) * g.in_h * g.in_w;
-    for (int kh = 0; kh < g.k_h; ++kh) {
-      for (int kw = 0; kw < g.k_w; ++kw, ++row) {
-        lower_row_span(plane, g, kh, kw, p0, p1, cols + row * ld);
-      }
-    }
-  }
-}
-
 void im2col_gather_pos_ld(const float* input, const ConvGeom& g,
                           std::span<const int> channels, int64_t p0,
                           int64_t p1, float* cols, int64_t ld) {
   AD_CHECK(0 <= p0 && p0 < p1 && p1 <= g.out_positions())
       << " im2col position range";
   AD_CHECK_GE(ld, p1 - p0);
+  // One tile of every position (an untiled step) is the dense row.
+  const bool whole = p0 == 0 && p1 == g.out_positions();
   int64_t row = 0;
   for (int c : channels) {
     AD_CHECK(c >= 0 && c < g.in_c) << " gathered channel " << c;
     const float* plane = input + static_cast<int64_t>(c) * g.in_h * g.in_w;
     for (int kh = 0; kh < g.k_h; ++kh) {
       for (int kw = 0; kw < g.k_w; ++kw, ++row) {
-        lower_row_span(plane, g, kh, kw, p0, p1, cols + row * ld);
+        if (whole) {
+          lower_row(plane, g, kh, kw, cols + row * ld);
+        } else {
+          lower_row_span(plane, g, kh, kw, p0, p1, cols + row * ld);
+        }
       }
     }
   }

@@ -45,21 +45,13 @@ void im2col(const float* input, const ConvGeom& g, float* cols);
 void im2col_range(const float* input, const ConvGeom& g, int c0, int c1,
                   float* cols);
 
-// Position-tiled slice of the dense lowering: fills, for the rows of
-// channels [c0, c1), only the output-position columns [p0, p1), writing
-// each row's tile at `cols + row * ld` (row = the absolute lowered row
-// index, column j - p0). The values are the exact [p0, p1) column slice
-// of im2col_range — the stride-1 interior is the same contiguous copy
-// clamped to the tile window — so a tiled GEMM consuming these panels
-// reproduces the untiled result bit for bit. ld >= p1 - p0.
-void im2col_range_pos(const float* input, const ConvGeom& g, int c0, int c1,
-                      int64_t p0, int64_t p1, float* cols, int64_t ld);
-
-// Position-tiled gathered lowering for channel-masked convolution: lowers
-// the kept `channels` rows over output positions [p0, p1) only, each row
-// written at `cols + row * ld` (row counts gathered channels from 0).
-// Equals the [p0, p1) column slice of im2col_gather_ld with a full
-// identity `spatial` set, bit for bit.
+// Position-tiled gathered lowering, the conv executor's only lowering:
+// lowers the kept `channels` rows over output positions [p0, p1) only,
+// each row written at `cols + row * ld` (row counts gathered channels from
+// 0). Equals the [p0, p1) column slice of im2col_gather_ld with a full
+// identity `spatial` set, bit for bit; over every channel that is the
+// column slice of the dense im2col. Channels lower independently, so a
+// caller can fill one tile's rows in parallel, one channel per call.
 void im2col_gather_pos_ld(const float* input, const ConvGeom& g,
                           std::span<const int> channels, int64_t p0,
                           int64_t p1, float* cols, int64_t ld);

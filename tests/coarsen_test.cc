@@ -6,6 +6,10 @@
 //     superset mask whose extra channels/positions are zero in the input
 //     matches the exact mask bit for bit, f32 and int8 (exact integer
 //     accumulation + the u8-bias correction cancel the zero-point rows);
+//   - keep-all groups: a one-member group (the dense plan step: weights
+//     read in place, tiles stored straight into the output) equals the
+//     module walk's dense kernel, and a two-member group (y_sub + scatter)
+//     gives every member the same bytes, f32 and int8, tiled or not;
 //   - coarsen_plan merge-policy monotonicity: identical groups always
 //     merge at any mac_bias, disjoint (or filter-mismatched) groups never
 //     merge at any bias — structural eligibility, not a cost outcome;
@@ -255,6 +259,8 @@ struct KernelRig {
   std::vector<int> iota;
   std::vector<int> samples{0, 1, 2};
   bool with_bias = true;
+  int64_t tile = 0;    // the group kernels' tile width (0 = untiled)
+  float y_init = 0.f;  // what every output starts as
   Workspace ws;
 
   explicit KernelRig(ConvGeom geom = {8, 8, 8, 3, 3, 1, 1}) : g(geom) {
@@ -299,15 +305,15 @@ struct KernelRig {
   // regime (non-null) or the cross-group slice regime (nullptr).
   std::vector<float> run_f32(const nn::ConvRuntimeMask& m,
                              nn::WeightPanelCache* cache = nullptr) {
-    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), 0.f);
+    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
     nn::conv_group_masked(x.data(), in_floats(), g, w.data(), kOutC,
                           bias_or_null(), m, samples, ids(), cache, y.data(),
-                          out_floats(), ws);
+                          out_floats(), ws, tile);
     return y;
   }
   // The module walk's per-sample kernel, member by member.
   std::vector<float> run_reference(const nn::ConvRuntimeMask& m) {
-    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), 0.f);
+    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
     for (int b : samples) {
       nn::conv_sample_masked(x.data() + b * in_floats(), g, w.data(), kOutC,
                              bias_or_null(), m, ids(),
@@ -315,12 +321,23 @@ struct KernelRig {
     }
     return y;
   }
+  // The dense module-walk kernel on sample s, into its output slot.
+  std::vector<float> run_dense(int s) {
+    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
+    std::vector<float> cols(
+        static_cast<size_t>(g.patch_rows() * g.out_positions()));
+    nn::conv_sample_dense(x.data() + s * in_floats(), g, w.data(), kOutC,
+                          bias_or_null(), cols.data(),
+                          y.data() + s * out_floats(), ws);
+    return y;
+  }
   std::vector<float> run_i8(const nn::Int8ConvWeights& qw,
                             const nn::ConvRuntimeMask& m) {
-    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), 0.f);
-    nn::conv_group_masked_i8(x.data(), in_floats(), g, qw, kOutC,
-                             bias_or_null(), m, samples, ids(),
-                             /*cache=*/nullptr, y.data(), out_floats(), ws);
+    std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
+    nn::conv_group_masked(x.data(), in_floats(), g, w.data(), kOutC,
+                          bias_or_null(), m, samples, ids(),
+                          /*cache=*/nullptr, y.data(), out_floats(), ws, tile,
+                          &qw);
     return y;
   }
 };
@@ -377,6 +394,80 @@ TEST(CoarsenKernel, ChannelUnionSupersetBitwiseInt8) {
   exact.channels = {0, 1, 3, 4, 5};
   sup.channels = {0, 1, 3, 4, 5, 6};
   EXPECT_TRUE(bitwise_equal(rig.run_i8(qw, exact), rig.run_i8(qw, sup)));
+}
+
+// --- keep-all groups: the dense step and its scatter twin ----------------
+
+// Untiled, a width that divides the 8x8 grid, and a ragged one.
+constexpr int64_t kKeepAllTiles[] = {0, 16, 37};
+
+TEST(CoarsenKernel, KeepAllOneMemberGroupMatchesDenseSampleBitwise) {
+  // A dense plan step is one keep-all group per sample: the weights are
+  // read in place and every tile is stored straight into the sample's
+  // output rows, so no zero-fill is needed (the outputs start at a
+  // sentinel here) and the result is the module walk's dense kernel.
+  KernelRig rig;
+  rig.y_init = -9.5f;
+  const nn::ConvRuntimeMask keep_all;
+  nn::WeightPanelCache cache;
+  for (const bool with_bias : {true, false}) {
+    rig.with_bias = with_bias;
+    for (const int s : {0, 5}) {
+      rig.samples = {s};
+      const std::vector<float> ref = rig.run_dense(s);
+      for (const int64_t tile : kKeepAllTiles) {
+        rig.tile = tile;
+        EXPECT_TRUE(bitwise_equal(rig.run_f32(keep_all, &cache), ref))
+            << "cached regime, sample " << s << ", tile " << tile
+            << ", bias " << with_bias;
+        EXPECT_TRUE(bitwise_equal(rig.run_f32(keep_all, nullptr), ref))
+            << "slice regime, sample " << s << ", tile " << tile
+            << ", bias " << with_bias;
+      }
+    }
+  }
+  // Full kept sets are the weights themselves: nothing was packed.
+  EXPECT_EQ(cache.hits.get() + cache.misses.get(), 0);
+}
+
+TEST(CoarsenKernel, KeepAllTwoMemberScatterMatchesDirectStoreBothRegimes) {
+  // The same sample as a two-member group takes y_sub and the scatter
+  // instead of the direct store; each member's bytes must not change. The
+  // second member repeats the first one's planes, so in int8 the group
+  // quantizes at the one-member scale too.
+  KernelRig rig;
+  std::copy(rig.x.begin(), rig.x.begin() + rig.in_floats(),
+            rig.x.begin() + rig.in_floats());
+  nn::Int8ConvWeights qw;
+  nn::quantize_conv_weights(rig.w.data(), KernelRig::kOutC, rig.g.in_c,
+                            rig.g.k_h * rig.g.k_w, qw);
+  const nn::ConvRuntimeMask keep_all;
+  const size_t slot = static_cast<size_t>(rig.out_floats());
+  const auto same_slot = [&](const std::vector<float>& a, int sa,
+                             const std::vector<float>& b, int sb) {
+    return std::memcmp(a.data() + sa * slot, b.data() + sb * slot,
+                       slot * sizeof(float)) == 0;
+  };
+  for (const bool with_bias : {true, false}) {
+    rig.with_bias = with_bias;
+    for (const int64_t tile : kKeepAllTiles) {
+      rig.tile = tile;
+      rig.samples = {0};
+      const std::vector<float> one_f32 = rig.run_f32(keep_all);
+      const std::vector<float> one_i8 = rig.run_i8(qw, keep_all);
+      rig.samples = {0, 1};
+      const std::vector<float> two_f32 = rig.run_f32(keep_all);
+      const std::vector<float> two_i8 = rig.run_i8(qw, keep_all);
+      for (const int member : {0, 1}) {
+        EXPECT_TRUE(same_slot(two_f32, member, one_f32, 0))
+            << "f32 member " << member << ", tile " << tile << ", bias "
+            << with_bias;
+        EXPECT_TRUE(same_slot(two_i8, member, one_i8, 0))
+            << "int8 member " << member << ", tile " << tile << ", bias "
+            << with_bias;
+      }
+    }
+  }
 }
 
 // --- fused spatial kernel vs the per-sample module-walk kernel -----------

@@ -186,7 +186,8 @@ TEST(Col2im, IsAdjointOfIm2col) {
 // is the exact column slice of the full lowered matrix, so the tiled GEMM
 // consumes bit-identical operands and the conv output cannot drift.
 
-TEST(Im2colTiled, RangePosMatchesFullColumnSlices) {
+TEST(Im2colTiled, GatherPosAllChannelsMatchesDenseColumnSlices) {
+  // Over every channel the gathered tile lowering is the dense one.
   // Stride-1/pad-1, stride-2/pad-0 and 1x1 geometries; tile width 7 does
   // not divide any of their position counts, so every sweep ends in a
   // ragged tail tile.
@@ -209,7 +210,8 @@ TEST(Im2colTiled, RangePosMatchesFullColumnSlices) {
     for (int64_t p0 = 0; p0 < pos; p0 += tile) {
       const int64_t p1 = std::min<int64_t>(p0 + tile, pos);
       panel.fill(-7.5f);
-      im2col_range_pos(x.data(), g, 0, g.in_c, p0, p1, panel.data(), ld);
+      im2col_gather_pos_ld(x.data(), g, iota_vec(g.in_c), p0, p1,
+                           panel.data(), ld);
       for (int r = 0; r < rows; ++r) {
         for (int64_t j = p0; j < p1; ++j) {
           ASSERT_EQ(panel.at({r, static_cast<int>(j - p0)}),
@@ -226,10 +228,11 @@ TEST(Im2colTiled, RangePosMatchesFullColumnSlices) {
   }
 }
 
-TEST(Im2colTiled, RangePosChannelSubrangeWritesAbsoluteRows) {
-  // Rows land at their absolute lowered-row offsets (channel * kh*kw), so
-  // disjoint channel ranges of one tile can be filled in parallel; rows
-  // outside [c0, c1) must stay untouched.
+TEST(Im2colTiled, GatherPosOneChannelPerCallFillsItsRowsOnly) {
+  // The conv executor lowers a tile one channel per call, each call
+  // writing its kh*kw rows at the channel's lowered-row offset, so the
+  // channels of one tile can be filled in parallel. Channels [c0, c1),
+  // lowered this way, reproduce the dense rows; other rows stay untouched.
   Rng rng(8);
   const ConvGeom g{4, 6, 6, 3, 3, 1, 1};
   Tensor x = Tensor::randn({g.in_c, g.in_h, g.in_w}, rng);
@@ -243,7 +246,11 @@ TEST(Im2colTiled, RangePosChannelSubrangeWritesAbsoluteRows) {
   const int c0 = 1, c1 = 3, kk = g.k_h * g.k_w;
   Tensor panel({rows, static_cast<int>(ld)});
   panel.fill(-3.25f);
-  im2col_range_pos(x.data(), g, c0, c1, p0, p1, panel.data(), ld);
+  const std::vector<int> all = iota_vec(g.in_c);
+  for (int c = c0; c < c1; ++c) {
+    im2col_gather_pos_ld(x.data(), g, std::span<const int>(all).subspan(c, 1),
+                         p0, p1, panel.data() + c * kk * ld, ld);
+  }
   for (int r = 0; r < rows; ++r) {
     const bool in_range = r >= c0 * kk && r < c1 * kk;
     for (int64_t j = 0; j < ld; ++j) {

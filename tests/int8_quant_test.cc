@@ -201,6 +201,33 @@ TEST(Int8Quant, PanelCacheKeySeparatesInt8FromF32) {
   EXPECT_EQ(f.cache.hits.get(), 1);
 }
 
+TEST(Int8Quant, FullSetPanelIsTheQuantizedWeightsByteForByte) {
+  // Keep-all groups read Int8ConvWeights in place instead of packing, which
+  // is exact only because a full-set panel reproduces its rows (zero pad
+  // included), byte sums and scales. 3 x 3x3 = 27 bytes per row pads to 28.
+  const int out_c = 5, in_c = 3, kk = 9;
+  Rng rng(23);
+  const auto w = random_vec(static_cast<size_t>(out_c) * in_c * kk, rng);
+  nn::Int8ConvWeights qw;
+  nn::quantize_conv_weights(w.data(), out_c, in_c, kk, qw);
+  ASSERT_EQ(qw.row_stride, 28);
+  std::vector<int> ch(in_c), oc(out_c);
+  for (int i = 0; i < in_c; ++i) ch[static_cast<size_t>(i)] = i;
+  for (int i = 0; i < out_c; ++i) oc[static_cast<size_t>(i)] = i;
+  std::vector<int8_t> q(qw.q.size(), 99);
+  std::vector<int32_t> wsum(static_cast<size_t>(out_c), -1);
+  std::vector<float> scale(static_cast<size_t>(out_c), -1.f);
+  nn::pack_weight_panel_i8_into(qw, kk, ch, oc, q.data(), wsum.data(),
+                                scale.data());
+  EXPECT_EQ(std::memcmp(q.data(), qw.q.data(), q.size()), 0);
+  EXPECT_EQ(std::memcmp(wsum.data(), qw.wsum.data(),
+                        wsum.size() * sizeof(int32_t)),
+            0);
+  EXPECT_EQ(std::memcmp(scale.data(), qw.scale.data(),
+                        scale.size() * sizeof(float)),
+            0);
+}
+
 // --- plan-level regime ------------------------------------------------------
 
 TEST(Int8Quant, CostModelBytesPerMacAndEwmaRescale) {

@@ -1,5 +1,5 @@
 // InferencePlan compiler + executor: BN-fold numerics against the unfused
-// module walk (dense bitwise, masked within 1e-5), exact ahead-of-time
+// module walk (dense and masked, bitwise), exact ahead-of-time
 // arena sizing (zero growths from the very first context forward), masked
 // execution through the fused conv steps for all three model families,
 // plan invalidation, and the cost-model metadata the serving controller
@@ -100,9 +100,10 @@ TEST(InferencePlan, MaskedExecutionThroughFusedStepsMatchesModuleWalk) {
     nn::ExecutionContext ctx;
     ctx.begin_pass();
     const Tensor fused = net->forward(x, ctx);
-    // BN folding keeps masked outputs within 1e-5 of the unfused walk
-    // (in the current exact-epilogue fold they are bitwise identical).
-    EXPECT_LE(max_abs_diff(plain, fused), 1e-5) << c.model;
+    // The exact-epilogue BN fold keeps masked outputs bitwise identical
+    // to the unfused walk.
+    EXPECT_TRUE(bitwise_equal(plain, fused))
+        << c.model << " max |diff| " << max_abs_diff(plain, fused);
 
     // Dynamic pruning survives fusion: the same masks were executed, so
     // the measured MACs match the module walk and stay below dense.
@@ -456,6 +457,17 @@ TEST(InferencePlan, ForcedTileBitwiseAndZeroGrowthsAcrossModels) {
               .reserve(ctx.workspace(), batch);
           Tensor y = run_once(*net, ctx);
           ref.assign(y.data(), y.data() + y.size());
+          if (regime == plan::NumericRegime::kF32) {
+            // Untiled is one tile of the same loop, so in f32 both plans
+            // also answer to an independent oracle: the module walk
+            // (conv_sample_dense / conv_sample_masked, no context).
+            const Tensor walk = net->forward(x);
+            ASSERT_EQ(static_cast<size_t>(walk.size()), ref.size());
+            EXPECT_EQ(std::memcmp(walk.data(), ref.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << label << " untiled plan vs module walk";
+          }
           engine.remove();
         }
 
@@ -489,7 +501,8 @@ TEST(InferencePlan, TiledArenaExactAt224InBothRegimes) {
   // The 224x224 workload class: auto tiling engages, shrinks the arena
   // versus --tile=off, keeps the sizing exact (reserve => zero growths
   // from the first pass), and the tiled logits stay bitwise identical to
-  // the untiled plan — in f32 AND int8.
+  // the untiled plan — in f32 AND int8. In f32 both plans also match the
+  // module walk bitwise, an oracle outside the tile loop.
   const int image = 224, batch = 2;
   const Case c{"small_cnn", image, 1.0f};
   Rng rng(19);
@@ -527,6 +540,14 @@ TEST(InferencePlan, TiledArenaExactAt224InBothRegimes) {
       untiled_plan.reserve(ctx.workspace(), batch);
       Tensor y = run_once(*untiled, ctx);
       untiled_ref.assign(y.data(), y.data() + y.size());
+    }
+    if (regime == plan::NumericRegime::kF32) {
+      const Tensor walk = untiled->forward(x);
+      ASSERT_EQ(static_cast<size_t>(walk.size()), untiled_ref.size());
+      EXPECT_EQ(std::memcmp(walk.data(), untiled_ref.data(),
+                            untiled_ref.size() * sizeof(float)),
+                0)
+          << "untiled f32 plan must match the module walk bitwise";
     }
     net->set_numeric_regime(regime);
     nn::ExecutionContext ctx;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -155,8 +157,12 @@ plan::TilePolicy tile_from_flags(const FlagSet& flags) {
   if (t == "off") return {plan::TileMode::kOff, 0};
   if (t == "auto") return {plan::TileMode::kAuto, 0};
   char* end = nullptr;
+  errno = 0;
   const long n = std::strtol(t.c_str(), &end, 10);
-  AD_CHECK(end != nullptr && *end == '\0' && n > 0)
+  // Past INT_MAX the width would wrap in the cast below (to 1, to a
+  // negative width that runs untiled, ...), so out-of-range is an error.
+  AD_CHECK(end != nullptr && *end == '\0' && errno != ERANGE && n > 0 &&
+           n <= INT_MAX)
       << " --tile must be off|auto|N (positive integer), got " << t;
   return {plan::TileMode::kFixed, static_cast<int>(n)};
 }
