@@ -823,10 +823,6 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
   const int ok = static_cast<int>(oc_set.size());
   const int patch_k = ck * kk;
   const int64_t p4 = int8_align4(patch_k);
-  // A one-member group that keeps every filter owns whole output rows: its
-  // (i)gemm writes each tile straight into them. Every other group goes
-  // through the compacted y_sub and the scatter.
-  const bool direct = gs == 1 && ok == out_c;
   const bool tiled = tile > 0 && tile < pos;
   const int64_t tile_w = tiled ? tile : pos;
   const int64_t ldt = static_cast<int64_t>(gs) * tile_w;
@@ -876,8 +872,7 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
                                padded_plane_bytes(g));
     qcols = ws.alloc<uint8_t>(p4 * ldt);
   }
-  float* y_sub =
-      direct ? nullptr : ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
+  float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
   // Plane i of the group is kept channel i % ck of member i / ck.
   const float sa =
       qw == nullptr
@@ -921,24 +916,16 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
             /*grain=*/1);
       }
     }
-    float* dst = direct ? member_y(0) + p0 : y_sub;
-    const int64_t ldd = direct ? pos : ld;
     {
       obs::PhaseScope span(obs::Phase::kGemm);
       if (qw != nullptr) {
         igemm_u8s8_dequant(ok, ld, p4, q_panel.panel, p4, qcols, q_panel.wsum,
-                           q_panel.scale, sa, dst, ldd);
+                           q_panel.scale, sa, y_sub, ld);
       } else {
         gemm_nn(ok, static_cast<int>(ld), patch_k, 1.f, w_panel, cols, 0.f,
-                dst, &ws, ldd);
-      }
-      if (direct && bias != nullptr) {
-        for (int oc = 0; oc < out_c; ++oc) {
-          add_bias_row(dst + static_cast<int64_t>(oc) * pos, tw, bias[oc]);
-        }
+                y_sub, &ws);
       }
     }
-    if (direct) continue;
     obs::PhaseScope span(obs::Phase::kScatter);
     parallel_for(
         0, gs,
@@ -1032,9 +1019,8 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
   // gs * tile; untiled is one tile of gs * pos.
   const int64_t ldc = static_cast<int64_t>(gs) * (tiled ? tile : pos);
   // Channel/filter path with full index sets: the f32 lowered tile, y_sub
-  // and the GEMM's panels (a direct-store group skips y_sub, so this bounds
-  // it too; a packed weight panel lives in the cross-pass cache or in the
-  // worker slice, see conv_group_masked_slice_bytes).
+  // and the GEMM's panels (a packed weight panel lives in the cross-pass
+  // cache or in the worker slice, see conv_group_masked_slice_bytes).
   size_t channel_path =
       Workspace::align_up(static_cast<size_t>(patch) * ldc * sizeof(float)) +
       Workspace::align_up(static_cast<size_t>(out_c) * ldc * sizeof(float)) +

@@ -270,8 +270,9 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
 // a dense step is one call per sample with an empty (keep-all) mask.
 // `samples` are the member batch indices (all sharing kept sets `m`).
 // Bias semantics match conv_sample_masked; the caller applies any fused
-// epilogue afterwards. Unless the group stores directly (below), the
-// caller zero-fills y beforehand. Returns the MACs executed for the whole
+// epilogue afterwards. The caller zero-fills y beforehand unless the group
+// keeps every filter and has no spatial positions (the channel path then
+// writes every output element). Returns the MACs executed for the whole
 // group (in int8 the LOGICAL, f32-equivalent count, so cost accounting is
 // regime-comparable).
 //
@@ -288,16 +289,12 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
 //      position): lower the members' kept channels side by side into one
 //      operand — f32 im2col rows, split over (member, kept channel) pairs,
 //      or u8 quads from the quantized planes — then ONE (i)gemm over the
-//      group, then store.
-// A one-member group that keeps every filter owns whole output rows: its
-// (i)gemm writes each tile straight into them (gemm_nn's row stride, the
-// igemm's ldy) and the bias is added in place, so it needs no zero-fill
-// and has no scatter. Every other group's (i)gemm writes a compacted y_sub
-// tile that the scatter places into the kept filters' rows, bias fused.
+//      group into a compacted y_sub tile, then the scatter places each
+//      member's columns into its kept filters' rows, bias fused.
 // Tiling splits only independent GEMM output columns (per-column
 // accumulation order untouched) and every tile of an int8 step quantizes
 // at the same scale, so tiled output is bitwise identical to untiled in
-// both regimes, and so is the direct store to the scatter.
+// both regimes.
 //
 // Spatial masks run the fused shift-GEMM in both regimes (in int8 a
 // documented mixed-regime fallback): the members' kept input columns are

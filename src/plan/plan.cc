@@ -1167,7 +1167,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           op.last_groups = groups;
         } else {
           // Dense step: one keep-all group per sample. Each reads the
-          // weights in place and stores straight into its output rows, so
+          // weights in place and its scatter writes every output row, so
           // the output needs no zero-fill.
           const nn::ConvRuntimeMask keep_all;
           for (int b = 0; b < n; ++b) {

@@ -337,9 +337,9 @@ struct PlanOp {
 
   // kConv, int8 regime: per-output-channel symmetric quantization of the
   // conv weight, computed once by set_regime(NumericRegime::kInt8) at
-  // plan-"compile" time (empty under f32). The dense int8 path consumes
-  // these rows directly; masked channel groups gather kept-filter panels
-  // from them into pack_cache.
+  // plan-"compile" time (empty under f32). Keep-all groups (every dense
+  // step) read these rows in place; masked channel groups gather
+  // kept-filter panels from them into pack_cache.
   nn::Int8ConvWeights int8_w;
 
   // Per-pass union-mask storage for coarsened groups: cluster c of a

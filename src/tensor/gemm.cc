@@ -24,21 +24,13 @@ constexpr int kKC = 256;
 // kernel (identical accumulation order, so the cutover is invisible).
 constexpr int64_t kSmallGemm = 32 * 32 * 32;
 
-// Scales `rows` rows of `cols` values, `ldc` apart, by beta.
-void scale_rows(float* c, int64_t rows, int64_t cols, int64_t ldc,
-                float beta) {
+void scale_rows(float* c, int64_t rows, int64_t cols, float beta) {
   if (beta == 1.f) return;
-  if (ldc == cols) {  // densely packed: one run
-    cols *= rows;
-    rows = 1;
-  }
-  for (int64_t i = 0; i < rows; ++i) {
-    float* row = c + i * ldc;
-    if (beta == 0.f) {
-      for (int64_t j = 0; j < cols; ++j) row[j] = 0.f;
-    } else {
-      for (int64_t j = 0; j < cols; ++j) row[j] *= beta;
-    }
+  const int64_t total = rows * cols;
+  if (beta == 0.f) {
+    for (int64_t i = 0; i < total; ++i) c[i] = 0.f;
+  } else {
+    for (int64_t i = 0; i < total; ++i) c[i] *= beta;
   }
 }
 
@@ -171,10 +163,10 @@ void micro_kernel(int kc, const float* ap, const float* bp, float* c,
 
 // Reference-order kernel for small problems (and the packing cutoff).
 void gemm_nn_simple(int m, int n, int k, float alpha, const float* a,
-                    const float* b, float beta, float* c, int64_t ldc) {
-  scale_rows(c, m, n, ldc, beta);
+                    const float* b, float beta, float* c) {
+  scale_rows(c, m, n, beta);
   for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
+    float* crow = c + i * n;
     const float* arow = a + i * k;
     for (int p = 0; p < k; ++p) {
       const float av = alpha * arow[p];
@@ -200,11 +192,9 @@ size_t gemm_nn_scratch_bytes(int m, int n, int k) {
 }
 
 void gemm_nn(int m, int n, int k, float alpha, const float* a, const float* b,
-             float beta, float* c, Workspace* ws, int64_t ldc) {
-  if (ldc == 0) ldc = n;
-  AD_CHECK_GE(ldc, n) << " gemm_nn row stride";
+             float beta, float* c, Workspace* ws) {
   if (static_cast<int64_t>(m) * n * k <= kSmallGemm) {
-    gemm_nn_simple(m, n, k, alpha, a, b, beta, c, ldc);
+    gemm_nn_simple(m, n, k, alpha, a, b, beta, c);
     return;
   }
   Workspace& w = ws != nullptr ? *ws : thread_local_workspace();
@@ -221,9 +211,7 @@ void gemm_nn(int m, int n, int k, float alpha, const float* a, const float* b,
   if (beta != 1.f) {
     parallel_for(
         0, m,
-        [&](int64_t i0, int64_t i1) {
-          scale_rows(c + i0 * ldc, i1 - i0, n, ldc, beta);
-        },
+        [&](int64_t i0, int64_t i1) { scale_rows(c + i0 * n, i1 - i0, n, beta); },
         /*grain=*/std::max<int64_t>(1, 4096 / std::max(1, n)));
   }
 
@@ -242,7 +230,7 @@ void gemm_nn(int m, int n, int k, float alpha, const float* a, const float* b,
               const int j0 = jp * kNR;
               const int jw = std::min(kNR, n - j0);
               micro_kernel(kc, ap, bpack + static_cast<int64_t>(jp) * kc * kNR,
-                           c + i0 * ldc + j0, ldc, mw, jw);
+                           c + static_cast<int64_t>(i0) * n + j0, n, mw, jw);
             }
           }
         },
@@ -256,7 +244,7 @@ void gemm_nt(int m, int n, int k, float alpha, const float* a, const float* b,
   parallel_for(
       0, m,
       [&](int64_t i0, int64_t i1) {
-        scale_rows(c + i0 * n, i1 - i0, n, n, beta);
+        scale_rows(c + i0 * n, i1 - i0, n, beta);
         for (int64_t i = i0; i < i1; ++i) {
           float* crow = c + i * n;
           const float* arow = a + i * k;
@@ -300,7 +288,7 @@ void gemm_tn(int m, int n, int k, float alpha, const float* a, const float* b,
   parallel_for(
       0, m,
       [&](int64_t i0, int64_t i1) {
-        scale_rows(c + i0 * n, i1 - i0, n, n, beta);
+        scale_rows(c + i0 * n, i1 - i0, n, beta);
         for (int p = 0; p < k; ++p) {
           const float* arow = a + static_cast<int64_t>(p) * m;
           const float* brow = b + static_cast<int64_t>(p) * n;

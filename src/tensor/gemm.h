@@ -5,8 +5,7 @@
 //   gemm_nn: C[M,N] = alpha * A[M,K]   * B[K,N]   + beta * C
 //   gemm_nt: C[M,N] = alpha * A[M,K]   * B[N,K]^T + beta * C
 //   gemm_tn: C[M,N] = alpha * A[K,M]^T * B[K,N]   + beta * C
-// All matrices are row-major and densely packed (ld == row length), except
-// that gemm_nn may write C with a wider row stride.
+// All matrices are row-major and densely packed (ld == row length).
 //
 // gemm_nn — the inference workhorse (dense and masked conv both lower to
 // it) — is a cache-blocked, register-tiled kernel: A row panels and B
@@ -32,12 +31,9 @@ namespace antidote {
 
 // `ws` provides scratch for the packed panels; pass the ExecutionContext
 // workspace on the inference hot path so steady-state packing performs no
-// heap allocation. nullptr falls back to a thread-local arena. `ldc` is C's
-// row stride (>= n; 0 means n): a conv tile writes its [m x n] block
-// straight into output rows `ldc` apart, and the columns of each row past n
-// are left untouched.
+// heap allocation. nullptr falls back to a thread-local arena.
 void gemm_nn(int m, int n, int k, float alpha, const float* a, const float* b,
-             float beta, float* c, Workspace* ws = nullptr, int64_t ldc = 0);
+             float beta, float* c, Workspace* ws = nullptr);
 
 // Exact number of arena bytes gemm_nn(m, n, k, ...) draws for its packed
 // panels (0 when the problem is small enough for the unpacked kernel).

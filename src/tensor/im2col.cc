@@ -153,19 +153,13 @@ void im2col_gather_pos_ld(const float* input, const ConvGeom& g,
   AD_CHECK(0 <= p0 && p0 < p1 && p1 <= g.out_positions())
       << " im2col position range";
   AD_CHECK_GE(ld, p1 - p0);
-  // One tile of every position (an untiled step) is the dense row.
-  const bool whole = p0 == 0 && p1 == g.out_positions();
   int64_t row = 0;
   for (int c : channels) {
     AD_CHECK(c >= 0 && c < g.in_c) << " gathered channel " << c;
     const float* plane = input + static_cast<int64_t>(c) * g.in_h * g.in_w;
     for (int kh = 0; kh < g.k_h; ++kh) {
       for (int kw = 0; kw < g.k_w; ++kw, ++row) {
-        if (whole) {
-          lower_row(plane, g, kh, kw, cols + row * ld);
-        } else {
-          lower_row_span(plane, g, kh, kw, p0, p1, cols + row * ld);
-        }
+        lower_row_span(plane, g, kh, kw, p0, p1, cols + row * ld);
       }
     }
   }

@@ -403,9 +403,9 @@ constexpr int64_t kKeepAllTiles[] = {0, 16, 37};
 
 TEST(CoarsenKernel, KeepAllOneMemberGroupMatchesDenseSampleBitwise) {
   // A dense plan step is one keep-all group per sample: the weights are
-  // read in place and every tile is stored straight into the sample's
-  // output rows, so no zero-fill is needed (the outputs start at a
-  // sentinel here) and the result is the module walk's dense kernel.
+  // read in place and the scatter writes every row of the sample's output,
+  // so no zero-fill is needed (the outputs start at a sentinel here) and
+  // the result is the module walk's dense kernel.
   KernelRig rig;
   rig.y_init = -9.5f;
   const nn::ConvRuntimeMask keep_all;
@@ -430,9 +430,9 @@ TEST(CoarsenKernel, KeepAllOneMemberGroupMatchesDenseSampleBitwise) {
   EXPECT_EQ(cache.hits.get() + cache.misses.get(), 0);
 }
 
-TEST(CoarsenKernel, KeepAllTwoMemberScatterMatchesDirectStoreBothRegimes) {
-  // The same sample as a two-member group takes y_sub and the scatter
-  // instead of the direct store; each member's bytes must not change. The
+TEST(CoarsenKernel, KeepAllTwoMemberGroupMatchesOneMemberBothRegimes) {
+  // The same sample as a two-member group sits beside a second member in
+  // one wider (i)gemm and scatter; each member's bytes must not change. The
   // second member repeats the first one's planes, so in int8 the group
   // quantizes at the one-member scale too.
   KernelRig rig;

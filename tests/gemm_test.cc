@@ -2,7 +2,6 @@
 // variants, alpha/beta combinations, and a parameterized shape sweep.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "base/error.h"
@@ -190,46 +189,6 @@ TEST(Gemm, BetaOneAccumulatesNt) {
   gemm_nt(m, n, k, 1.f, a.data(), b.data(), 1.f, c.data());
   ref_gemm(false, true, m, n, k, 1.f, a, b, 1.f, ref);
   for (size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-3f);
-}
-
-// A conv tile writes its [m x n] block straight into output rows ldc > n
-// apart: same bytes as the densely packed product, and the columns of
-// each row past n untouched. Covers the small-problem kernel, the blocked
-// kernel with a ragged edge tile, and beta = 0 / beta = 1.
-TEST(Gemm, NnRowStrideMatchesPackedBitwise) {
-  const GemmShape shapes[] = {{5, 7, 3}, {37, 45, 70}, {8, 32, 300}};
-  Rng rng(41);
-  for (const GemmShape& sh : shapes) {
-    const auto a = random_vec(static_cast<size_t>(sh.m) * sh.k, rng);
-    const auto b = random_vec(static_cast<size_t>(sh.k) * sh.n, rng);
-    const auto c0 = random_vec(static_cast<size_t>(sh.m) * sh.n, rng);
-    for (const float beta : {0.f, 1.f}) {
-      std::vector<float> packed = c0;
-      gemm_nn(sh.m, sh.n, sh.k, 1.f, a.data(), b.data(), beta, packed.data());
-      const int64_t ldc = sh.n + 13;
-      const float sentinel = -7.25f;
-      std::vector<float> strided(static_cast<size_t>(sh.m * ldc), sentinel);
-      for (int i = 0; i < sh.m; ++i) {
-        std::memcpy(strided.data() + i * ldc, c0.data() + i * sh.n,
-                    static_cast<size_t>(sh.n) * sizeof(float));
-      }
-      Workspace ws;
-      gemm_nn(sh.m, sh.n, sh.k, 1.f, a.data(), b.data(), beta,
-              strided.data(), &ws, ldc);
-      for (int i = 0; i < sh.m; ++i) {
-        EXPECT_EQ(std::memcmp(strided.data() + i * ldc,
-                              packed.data() + i * sh.n,
-                              static_cast<size_t>(sh.n) * sizeof(float)),
-                  0)
-            << sh.m << "x" << sh.n << "x" << sh.k << " beta " << beta
-            << " row " << i;
-        for (int64_t j = sh.n; j < ldc; ++j) {
-          ASSERT_EQ(strided[static_cast<size_t>(i * ldc + j)], sentinel)
-              << sh.m << "x" << sh.n << "x" << sh.k << " row " << i;
-        }
-      }
-    }
-  }
 }
 
 TEST(Gemm, MatmulWrapper) {
