@@ -16,7 +16,6 @@
 #include "core/gate.h"
 #include "nn/conv2d.h"
 #include "nn/conv_kernels.h"
-#include "nn/execution_context.h"
 #include "nn/init.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -190,8 +189,7 @@ struct SpatialGroupRig {
     x.resize(static_cast<size_t>(members) * in_floats());
     for (float& v : x) v = static_cast<float>(rng.normal());
     y.resize(static_cast<size_t>(members) * in_floats());
-    iota.resize(
-        static_cast<size_t>(std::max<int64_t>(s.ch, g.out_positions())));
+    iota.resize(static_cast<size_t>(s.ch));
     std::iota(iota.begin(), iota.end(), 0);
     samples.resize(static_cast<size_t>(members));
     std::iota(samples.begin(), samples.end(), 0);
@@ -202,7 +200,7 @@ struct SpatialGroupRig {
     return static_cast<int64_t>(g.in_c) * g.in_h * g.in_w;
   }
   nn::ConvIdentityIndices ids() const {
-    return {iota.data(), iota.data(), iota.data()};
+    return {iota.data(), iota.data()};
   }
 };
 
@@ -507,26 +505,6 @@ void BM_Int8GemmF32Baseline(benchmark::State& state) {
                           kI8Pos);
 }
 BENCHMARK(BM_Int8GemmF32Baseline);
-
-// Dense conv through the allocation-free ExecutionContext hot path —
-// compare with BM_ConvDense to see the workspace/arena saving at layer
-// granularity.
-void BM_ConvDenseCtx(benchmark::State& state) {
-  const int ch = static_cast<int>(state.range(0));
-  Rng rng(7);
-  nn::Conv2d conv(ch, ch, 3, 1, 1, false);
-  nn::init_module(conv, rng);
-  conv.set_training(false);
-  Tensor x = Tensor::randn({1, ch, 16, 16}, rng);
-  nn::ExecutionContext ctx;
-  for (auto _ : state) {
-    ctx.begin_pass();
-    Tensor y = conv.forward(x, ctx);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * conv.last_macs());
-}
-BENCHMARK(BM_ConvDenseCtx)->Arg(32)->Arg(64)->Arg(128);
 
 }  // namespace
 

@@ -18,18 +18,16 @@ int scaled(int base, float mult) {
 constexpr int kBaseWidths[3] = {16, 32, 64};
 }  // namespace
 
-Tensor shortcut_option_a(const Tensor& x, int out_c, int stride,
-                         nn::ExecutionContext* ctx) {
+Tensor shortcut_option_a(const Tensor& x, int out_c, int stride) {
   AD_CHECK_EQ(x.ndim(), 4);
   const int n = x.dim(0), in_c = x.dim(1), h = x.dim(2), w = x.dim(3);
   AD_CHECK_GE(out_c, in_c);
   if (out_c == in_c && stride == 1) return x;
   const int oh = (h + stride - 1) / stride;
   const int ow = (w + stride - 1) / stride;
-  Tensor y = ctx != nullptr ? ctx->alloc({n, out_c, oh, ow})
-                            : Tensor({n, out_c, oh, ow});
-  // The shared kernel zero-fills (arena memory is uninitialized; pruned
-  // extra channels must stay zero) and writes the subsampled grid.
+  Tensor y({n, out_c, oh, ow});
+  // The shared kernel zero-fills the padded extra channels (the plan's
+  // arena output is uninitialized) and writes the subsampled grid.
   nn::shortcut_subsample_into(x.data(), n, in_c, h, w, out_c, stride,
                               y.data());
   return y;

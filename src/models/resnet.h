@@ -90,8 +90,7 @@ class ResNetCifar : public ConvNet {
 
 // Option-A shortcut: spatial subsampling by `stride` with zero-padded extra
 // channels. Exposed for unit testing.
-Tensor shortcut_option_a(const Tensor& x, int out_c, int stride,
-                         nn::ExecutionContext* ctx = nullptr);
+Tensor shortcut_option_a(const Tensor& x, int out_c, int stride);
 // Gradient of shortcut_option_a w.r.t. x.
 Tensor shortcut_option_a_backward(const Tensor& dy, const Shape& in_shape,
                                   int stride);

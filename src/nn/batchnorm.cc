@@ -87,39 +87,6 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   return y;
 }
 
-Tensor BatchNorm2d::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (is_training()) return forward(x);
-  AD_CHECK_EQ(x.ndim(), 4) << " BatchNorm2d expects NCHW";
-  AD_CHECK_EQ(x.dim(1), channels_);
-  const int n = x.dim(0), c = channels_, h = x.dim(2), w = x.dim(3);
-  const int64_t hw = static_cast<int64_t>(h) * w;
-
-  // Eval-mode normalization with running statistics, written straight into
-  // the arena; no backward cache (stale caches are cleared so a misuse of
-  // backward() after a ctx forward fails loudly, as in Conv2d/Linear).
-  // The arithmetic matches the plain eval path expression-for-expression,
-  // so outputs are bitwise identical.
-  cached_xhat_ = Tensor();
-  cached_inv_std_ = Tensor();
-  Tensor y = ctx.alloc(x.shape());
-  const float* gp = gamma_.value.data();
-  const float* bp = beta_.value.data();
-  for (int ch = 0; ch < c; ++ch) {
-    const float mean_v = running_mean_[ch];
-    const float inv_std = 1.f / std::sqrt(running_var_[ch] + eps_);
-    for (int b = 0; b < n; ++b) {
-      const int64_t off = (static_cast<int64_t>(b) * c + ch) * hw;
-      const float* px = x.data() + off;
-      float* py = y.data() + off;
-      for (int64_t j = 0; j < hw; ++j) {
-        const float xh = (px[j] - mean_v) * inv_std;
-        py[j] = gp[ch] * xh + bp[ch];
-      }
-    }
-  }
-  return y;
-}
-
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   AD_CHECK(!cached_xhat_.empty()) << " BatchNorm2d backward before forward";
   AD_CHECK(grad_out.same_shape(cached_xhat_));

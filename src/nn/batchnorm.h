@@ -17,7 +17,6 @@ class BatchNorm2d : public Module {
                        float momentum = 0.1f);
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   void visit_state(const std::string& prefix, const StateVisitor& fn) override;

@@ -1,7 +1,6 @@
 #include "nn/conv2d.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <numeric>
 
@@ -51,7 +50,15 @@ bool strictly_increasing(const std::vector<int>& v) {
 }  // namespace
 
 void Conv2d::check_masks(std::span<const ConvRuntimeMask> masks) const {
+  // The shift-GEMM indexes output positions by input columns, so spatial
+  // masks need a conv whose output grid is its input grid, whatever the
+  // input size.
+  const bool preserves_grid = stride_ == 1 && 2 * pad_ == k_ - 1;
   for (const auto& m : masks) {
+    AD_CHECK(m.positions.empty() || preserves_grid)
+        << " spatial runtime mask on a conv that does not preserve its grid"
+        << " (stride " << stride_ << ", kernel " << k_ << ", pad " << pad_
+        << ")";
     for (int c : m.channels) {
       AD_CHECK(c >= 0 && c < in_c_) << " runtime mask channel " << c;
     }
@@ -96,7 +103,7 @@ void Conv2d::set_runtime_masks(std::span<const ConvRuntimeMask> masks) {
 
 std::span<const ConvRuntimeMask> Conv2d::take_runtime_masks() {
   if (!masks_pending_) return {};
-  // Same swap-through-a-member consumption as forward_impl: both vectors'
+  // Same swap-through-a-member consumption as forward(): both vectors'
   // elements stay alive as warm storage across passes.
   active_masks_.swap(pending_masks_);
   masks_pending_ = false;
@@ -109,14 +116,7 @@ void Conv2d::note_external_execution(int64_t macs, bool masked) {
   cached_input_ = Tensor();
 }
 
-Tensor Conv2d::forward(const Tensor& x) { return forward_impl(x, nullptr); }
-
-Tensor Conv2d::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (is_training()) return forward_impl(x, nullptr);
-  return forward_impl(x, &ctx);
-}
-
-Tensor Conv2d::forward_impl(const Tensor& x, ExecutionContext* ctx) {
+Tensor Conv2d::forward(const Tensor& x) {
   AD_CHECK_EQ(x.ndim(), 4) << " Conv2d expects NCHW, got " << x.shape_str();
   AD_CHECK_EQ(x.dim(1), in_c_) << " Conv2d input channels";
   if (masks_pending_) {
@@ -128,13 +128,13 @@ Tensor Conv2d::forward_impl(const Tensor& x, ExecutionContext* ctx) {
     AD_CHECK_EQ(static_cast<int>(active_masks_.size()), x.dim(0))
         << " runtime mask count vs batch size";
     last_forward_was_masked_ = true;
-    return forward_masked(x, active_masks_, ctx);
+    return forward_masked(x, active_masks_);
   }
   last_forward_was_masked_ = false;
-  return forward_dense(x, ctx);
+  return forward_dense(x);
 }
 
-Tensor Conv2d::forward_dense(const Tensor& x, ExecutionContext* ctx) {
+Tensor Conv2d::forward_dense(const Tensor& x) {
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   ConvGeom g{in_c_, h, w, k_, k_, stride_, pad_};
   g.validate();
@@ -142,9 +142,8 @@ Tensor Conv2d::forward_dense(const Tensor& x, ExecutionContext* ctx) {
   const int64_t patch = g.patch_rows();
   const int64_t pos = g.out_positions();
 
-  Workspace& ws = ctx != nullptr ? ctx->workspace() : thread_local_workspace();
-  Tensor y = ctx != nullptr ? ctx->alloc({n, out_c_, oh, ow})
-                            : Tensor({n, out_c_, oh, ow});
+  Workspace& ws = thread_local_workspace();
+  Tensor y({n, out_c_, oh, ow});
   const Workspace::Mark scratch = ws.mark();
   float* cols = ws.alloc_floats(patch * pos);
   const float* wp = weight_.value.data();
@@ -157,28 +156,20 @@ Tensor Conv2d::forward_dense(const Tensor& x, ExecutionContext* ctx) {
     last_macs_ += conv_sample_dense(xb, g, wp, out_c_, bp, cols, yb, ws);
   }
   ws.rewind(scratch);
-  // Context forwards are inference-only: skip the backward cache so arena
-  // tensors never outlive their pass.
-  cached_input_ = ctx != nullptr ? Tensor() : x;
+  cached_input_ = x;
   return y;
 }
 
 Tensor Conv2d::forward_masked(const Tensor& x,
-                              const std::vector<ConvRuntimeMask>& masks,
-                              ExecutionContext* ctx) {
+                              const std::vector<ConvRuntimeMask>& masks) {
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   ConvGeom g{in_c_, h, w, k_, k_, stride_, pad_};
   g.validate();
   const int oh = g.out_h(), ow = g.out_w();
   const int64_t pos = g.out_positions();
 
-  Workspace& ws = ctx != nullptr ? ctx->workspace() : thread_local_workspace();
-  Tensor y = ctx != nullptr ? ctx->alloc({n, out_c_, oh, ow})
-                            : Tensor({n, out_c_, oh, ow});
-  if (ctx != nullptr) {
-    // Arena memory is uninitialized; pruned positions must stay zero.
-    std::memset(y.data(), 0, static_cast<size_t>(y.size()) * sizeof(float));
-  }
+  Workspace& ws = thread_local_workspace();
+  Tensor y({n, out_c_, oh, ow});  // zero-filled: pruned entries stay zero
   last_macs_ = 0;
 
   const Workspace::Mark outer = ws.mark();
@@ -187,9 +178,7 @@ Tensor Conv2d::forward_masked(const Tensor& x,
   std::iota(all_channels, all_channels + in_c_, 0);
   int* all_out = ws.alloc<int>(out_c_);
   std::iota(all_out, all_out + out_c_, 0);
-  int* all_positions = ws.alloc<int>(pos);
-  std::iota(all_positions, all_positions + pos, 0);
-  const ConvIdentityIndices ids{all_channels, all_out, all_positions};
+  const ConvIdentityIndices ids{all_channels, all_out};
   const float* wp = weight_.value.data();
   const float* bp = has_bias_ ? bias_.value.data() : nullptr;
 

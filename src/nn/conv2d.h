@@ -9,11 +9,13 @@
 // measured FLOPs reductions are real savings rather than bookkeeping.
 // Masks apply to exactly one forward pass and are consumed by it.
 //
-// Both the dense and masked paths draw every scratch buffer (im2col
-// columns, gathered weights, staging outputs, index sets) from a workspace
-// arena: the ExecutionContext's when one is threaded through, a per-thread
-// fallback otherwise. With a context the output tensor itself lives in the
-// arena too, making steady-state inference allocation-free.
+// The layer has one forward: the module walk that training, the FLOPs
+// prober and the equivalence tests run. It draws every scratch buffer
+// (im2col columns, gathered weights, staging outputs, index sets) from
+// the per-thread workspace and returns a heap tensor. Allocation-free
+// inference is the compiled InferencePlan's job (see src/plan/): it takes
+// the pending masks through take_runtime_masks() and runs the shared
+// kernels in nn/conv_kernels.h itself.
 #pragma once
 
 #include <optional>
@@ -33,7 +35,9 @@ struct ConvRuntimeMask {
   // Empty = keep all. Executed with an input-stationary shift-GEMM that
   // computes exactly conv(input with the other columns zeroed) while
   // performing only keep-ratio x dense MACs. Only valid when the
-  // convolution preserves the spatial grid (stride 1, out size == in).
+  // convolution preserves the spatial grid (stride 1 and 2 * pad ==
+  // k - 1, so out size == in for every input); set_runtime_masks
+  // rejects positions on any other conv.
   std::vector<int> positions;
   // Kept output-filter indices, strictly increasing. Empty = keep all.
   // Used by *static* filter pruning, where the producing layer also skips
@@ -48,7 +52,6 @@ class Conv2d : public Module {
          int padding = 0, bool bias = true);
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Conv2d"; }
@@ -93,13 +96,9 @@ class Conv2d : public Module {
 
  private:
   void check_masks(std::span<const ConvRuntimeMask> masks) const;
-  // ctx == nullptr: plain semantics (heap output, input cached for
-  // backward, scratch from the thread-local arena).
-  Tensor forward_impl(const Tensor& x, ExecutionContext* ctx);
-  Tensor forward_dense(const Tensor& x, ExecutionContext* ctx);
+  Tensor forward_dense(const Tensor& x);
   Tensor forward_masked(const Tensor& x,
-                        const std::vector<ConvRuntimeMask>& masks,
-                        ExecutionContext* ctx);
+                        const std::vector<ConvRuntimeMask>& masks);
 
   int in_c_, out_c_, k_, stride_, pad_;
   bool has_bias_;

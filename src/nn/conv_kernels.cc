@@ -196,9 +196,7 @@ int64_t conv_sample_masked(const float* xb, const ConvGeom& g, const float* w,
       }
     }
     float* cols = ws.alloc_floats(static_cast<int64_t>(patch_k) * pos);
-    im2col_gather(
-        xb, g, ch,
-        std::span<const int>(ids.positions, static_cast<size_t>(pos)), cols);
+    im2col_gather(xb, g, ch, cols);
     float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * pos);
     gemm_nn(ok, static_cast<int>(pos), patch_k, 1.f, w_packed, cols, 0.f,
             y_sub, &ws);

@@ -94,14 +94,12 @@ void scatter_bias_row_scalar(const float* src, float* dst, int64_t n,
 // In-place bias add over one output row.
 void add_bias_row(float* row, int64_t n, float bias);
 
-// Identity index sets used when a mask component is empty (= keep all).
-// All three spans may alias one shared ascending iota array (the plan
-// compiler builds one sized at its largest channel count). Only
-// conv_sample_masked reads `positions`; conv_group_masked never does.
+// Identity index sets used when a channel or filter set is empty (= keep
+// all). Both spans may alias one shared ascending iota array (the plan
+// compiler builds one sized at its largest channel count).
 struct ConvIdentityIndices {
-  const int* channels = nullptr;   // [g.in_c]
-  const int* out = nullptr;        // [out_c]
-  const int* positions = nullptr;  // [g.out_positions()]
+  const int* channels = nullptr;  // [g.in_c]
+  const int* out = nullptr;       // [out_c]
 };
 
 // Dense sample: yb[out_c, out_positions] = W * im2col(xb). `cols` is

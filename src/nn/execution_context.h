@@ -1,18 +1,22 @@
 // ExecutionContext — per-worker state for the allocation-free inference
 // hot path.
 //
+// The context path is the compiled plan: models::ConvNet::forward(x, ctx)
+// runs its InferencePlan, which draws every activation, kernel scratch
+// buffer and gate output from this context's arena. Layers have one
+// forward (the plain module walk); the only modules the plan hands the
+// context to are gates, through nn::Module's context overload.
+//
 // Ownership rules (see docs/architecture.md):
 //   - One ExecutionContext per thread that runs forward passes. NEVER
 //     share a context between threads: the workspace is an unsynchronized
 //     bump arena.
 //   - The driver (serving worker, bench loop, evaluator) calls
-//     begin_pass() before each top-level Module::forward(x, ctx). That
+//     begin_pass() before each top-level ConvNet::forward(x, ctx). That
 //     rewinds the arena, which invalidates every tensor the PREVIOUS pass
 //     borrowed from it — copy results out before starting the next pass.
-//   - Context-carrying forwards are inference-only: layers skip the
-//     activation caching backward() needs, and their outputs live in the
-//     arena. Training keeps using the plain forward(x) overload, whose
-//     heap semantics are unchanged.
+//   - Context forwards are inference-only: in training mode ConvNet falls
+//     back to the plain forward(x), whose heap semantics are unchanged.
 #pragma once
 
 #include <cstdint>

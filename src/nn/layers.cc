@@ -10,16 +10,6 @@ Tensor ReLU::forward(const Tensor& x) {
   return ops::relu(x);
 }
 
-Tensor ReLU::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (is_training()) return forward(x);
-  Tensor y = ctx.alloc(x.shape());
-  const float* px = x.data();
-  float* py = y.data();
-  for (int64_t i = 0; i < x.size(); ++i) py[i] = px[i] > 0.f ? px[i] : 0.f;
-  cached_input_ = Tensor();
-  return y;
-}
-
 Tensor ReLU::backward(const Tensor& grad_out) {
   AD_CHECK(!cached_input_.empty()) << " ReLU backward before forward";
   return ops::relu_backward(grad_out, cached_input_);

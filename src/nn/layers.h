@@ -9,7 +9,6 @@ namespace antidote::nn {
 class ReLU : public Module {
  public:
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string type_name() const override { return "ReLU"; }
 

@@ -21,18 +21,11 @@ std::vector<Parameter*> Linear::parameters() {
   return out;
 }
 
-Tensor Linear::forward(const Tensor& x) { return forward_impl(x, nullptr); }
-
-Tensor Linear::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (is_training()) return forward_impl(x, nullptr);
-  return forward_impl(x, &ctx);
-}
-
-Tensor Linear::forward_impl(const Tensor& x, ExecutionContext* ctx) {
+Tensor Linear::forward(const Tensor& x) {
   AD_CHECK_EQ(x.ndim(), 2) << " Linear expects [N, F], got " << x.shape_str();
   AD_CHECK_EQ(x.dim(1), in_f_);
   const int n = x.dim(0);
-  Tensor y = ctx != nullptr ? ctx->alloc({n, out_f_}) : Tensor({n, out_f_});
+  Tensor y({n, out_f_});
   // y[N, out] = x[N, in] * W[out, in]^T
   gemm_nt(n, out_f_, in_f_, 1.f, x.data(), weight_.value.data(), 0.f,
           y.data());
@@ -44,7 +37,7 @@ Tensor Linear::forward_impl(const Tensor& x, ExecutionContext* ctx) {
     }
   }
   last_macs_ = static_cast<int64_t>(n) * out_f_ * in_f_;
-  cached_input_ = ctx != nullptr ? Tensor() : x;
+  cached_input_ = x;
   return y;
 }
 

@@ -10,7 +10,6 @@ class Linear : public Module {
   Linear(int in_features, int out_features, bool bias = true);
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::string type_name() const override { return "Linear"; }
@@ -31,8 +30,6 @@ class Linear : public Module {
   }
 
  private:
-  Tensor forward_impl(const Tensor& x, ExecutionContext* ctx);
-
   int in_f_, out_f_;
   bool has_bias_;
   Parameter weight_;  // [out_features, in_features]

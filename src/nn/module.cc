@@ -20,12 +20,6 @@ Tensor Sequential::forward(const Tensor& x) {
   return cur;
 }
 
-Tensor Sequential::forward(const Tensor& x, ExecutionContext& ctx) {
-  Tensor cur = x;
-  for (auto& child : children_) cur = child->forward(cur, ctx);
-  return cur;
-}
-
 Tensor Sequential::backward(const Tensor& grad_out) {
   Tensor cur = grad_out;
   for (auto it = children_.rbegin(); it != children_.rend(); ++it) {

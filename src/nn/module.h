@@ -45,14 +45,14 @@ class Module {
   // Computes the layer output; caches activations needed by backward().
   virtual Tensor forward(const Tensor& x) = 0;
 
-  // Context-carrying overload used by the inference hot path: layers that
-  // override it draw scratch AND output storage from the context's
-  // workspace arena (zero heap allocations once the arena is warm) and
-  // skip the activation caching backward() would need. The base default
-  // falls back to the plain overload, so layers without an optimized path
-  // stay correct. Contract: inference only (overrides delegate to the
-  // plain path while training); returned tensors are invalidated by the
-  // context's next begin_pass().
+  // Context-carrying overload, the inference entry point. Layers have one
+  // forward; the context path is the compiled plan: models::ConvNet
+  // overrides this to run it, and the plan's executor calls it only on
+  // gate modules. This default, the plain forward, is the gate hook:
+  // gates without an arena path (FbsGate, ChannelStatsGate) reach the plan
+  // through it, while core::AttentionGate overrides it to write its masked
+  // map into the arena. Returned tensors may borrow the context's arena
+  // and are then invalidated by its next begin_pass().
   virtual Tensor forward(const Tensor& x, ExecutionContext& ctx) {
     (void)ctx;
     return forward(x);
@@ -116,7 +116,6 @@ class Sequential : public Module {
   }
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   void visit_state(const std::string& prefix, const StateVisitor& fn) override;

@@ -85,27 +85,6 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   return y;
 }
 
-Tensor MaxPool2d::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (is_training()) return forward(x);
-  AD_CHECK_EQ(x.ndim(), 4);
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  // h < k would truncate (h - k) / stride toward zero and "pass" the
-  // emptiness check below while the window reads out of bounds.
-  AD_CHECK(h >= k_ && w >= k_) << " MaxPool2d window larger than input "
-                               << x.shape_str();
-  const int oh = (h - k_) / stride_ + 1;
-  const int ow = (w - k_) / stride_ + 1;
-  AD_CHECK(oh > 0 && ow > 0) << " MaxPool2d output empty for input "
-                             << x.shape_str();
-  // Inference path: no argmax bookkeeping, output in the arena. Clear the
-  // backward caches so backward() after a ctx forward fails loudly.
-  argmax_.clear();
-  in_shape_.clear();
-  Tensor y = ctx.alloc({n, c, oh, ow});
-  max_pool_forward_into(x.data(), n, c, h, w, k_, stride_, y.data());
-  return y;
-}
-
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
   AD_CHECK(!in_shape_.empty()) << " MaxPool2d backward before forward";
   AD_CHECK_EQ(static_cast<size_t>(grad_out.size()), argmax_.size());
@@ -177,15 +156,6 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
   AD_CHECK_EQ(x.ndim(), 4);
   in_shape_ = x.shape();
   return ops::channel_mean_nchw(x);
-}
-
-Tensor GlobalAvgPool::forward(const Tensor& x, ExecutionContext& ctx) {
-  if (is_training()) return forward(x);
-  AD_CHECK_EQ(x.ndim(), 4);
-  in_shape_.clear();  // backward after a ctx forward must fail loudly
-  Tensor y = ctx.alloc({x.dim(0), x.dim(1)});
-  ops::channel_mean_nchw_into(x, y.data());
-  return y;
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {

@@ -7,10 +7,9 @@
 
 namespace antidote::nn {
 
-// Shared eval-mode max-pool kernel (no argmax bookkeeping): pools the
-// NCHW input into y, which must hold the pooled output. Used by the
-// MaxPool2d context overload and the InferencePlan executor so both run
-// the exact same arithmetic.
+// Eval-mode max-pool kernel (no argmax bookkeeping): pools the NCHW
+// input into y, which must hold the pooled output. The InferencePlan
+// executor's pool step; it picks the same maxima MaxPool2d::forward does.
 void max_pool_forward_into(const float* x, int n, int c, int h, int w, int k,
                            int stride, float* y);
 
@@ -19,7 +18,6 @@ class MaxPool2d : public Module {
   explicit MaxPool2d(int kernel_size, int stride = -1);
 
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string type_name() const override { return "MaxPool2d"; }
 
@@ -50,7 +48,6 @@ class AvgPool2d : public Module {
 class GlobalAvgPool : public Module {
  public:
   Tensor forward(const Tensor& x) override;
-  Tensor forward(const Tensor& x, ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string type_name() const override { return "GlobalAvgPool"; }
 

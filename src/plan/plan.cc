@@ -135,8 +135,8 @@ size_t conv_step_scratch_bytes(const PlanOp& op, int n, bool int8_regime) {
 
 // Dense-path memory traffic per MAC of a conv step under `regime`:
 // (weight operand + im2col panel) at the regime's element size plus the
-// always-f32 output, over the step's dense MACs. Shared by the cost
-// snapshot and set_regime's EWMA rescale so both use the same axis.
+// always-f32 output, over the step's dense MACs. The coarsening planner
+// prices a merged group's panel pack with it.
 //
 // Spatially-tiled steps (op.tile_pos > 0) replace the full im2col panel
 // term with the actual DRAM traffic of the tiled schedule: the input
@@ -497,16 +497,6 @@ void InferencePlan::set_regime(NumericRegime regime) {
                                 op.out_shape[0], op.geom.in_c,
                                 op.geom.k_h * op.geom.k_w, op.int8_w);
     }
-    // Carry the learned timing across the switch: conv steps on this
-    // runtime are dominated by operand traffic, so the measured-time EWMA
-    // is rescaled by the regimes' bytes/MAC ratio instead of restarting
-    // from a cold prior (the EWMA then refines toward the truth from a
-    // ~right starting point as the new regime's passes land).
-    if (op.ewma_ms > 0.0) {
-      const double from = conv_bytes_per_mac(op, regime_);
-      const double to = conv_bytes_per_mac(op, regime);
-      if (from > 0.0 && to > 0.0) op.ewma_ms *= to / from;
-    }
   }
   regime_ = regime;
 }
@@ -545,18 +535,20 @@ int InferencePlan::last_capped_samples() const {
   return capped;
 }
 
+double predict_op_ms(const OpCost& op, double channel_keep,
+                     double spatial_keep) {
+  if (op.prune_block < 0) return op.ewma_ms;
+  double keep = channel_keep;
+  if (op.prune_spatial) keep *= spatial_keep;
+  const double measured = op.measured_units > 1e-4 ? op.measured_units : 1.0;
+  return op.ewma_ms * (keep * op.group_frac) / measured;
+}
+
 double predict_batch_ms(const std::vector<OpCost>& ops, double channel_keep,
                         double spatial_keep) {
   double total = 0.0;
-  for (const OpCost& c : ops) {
-    if (c.prune_block < 0) {
-      total += c.ewma_ms;
-      continue;
-    }
-    double keep = channel_keep;
-    if (c.prune_spatial) keep *= spatial_keep;
-    const double measured = c.measured_units > 1e-4 ? c.measured_units : 1.0;
-    total += c.ewma_ms * (keep * c.group_frac) / measured;
+  for (const OpCost& op : ops) {
+    total += predict_op_ms(op, channel_keep, spatial_keep);
   }
   return total;
 }
@@ -763,18 +755,8 @@ std::vector<OpCost> InferencePlan::cost_snapshot() const {
   std::vector<OpCost> out;
   out.reserve(ops_.size());
   for (const PlanOp& op : ops_) {
-    OpCost c;
-    c.name = op.name;
-    c.kind = op.kind;
-    c.dense_macs = op.dense_macs;
-    c.ewma_ms = op.ewma_ms;
-    c.group_frac = op.ewma_group_frac;
-    c.measured_units = op.ewma_units;
-    c.prune_block = op.prune_block;
-    c.prune_spatial = op.prune_spatial;
-    c.bytes_per_mac = conv_bytes_per_mac(op, regime_);
-    c.regime = regime_;
-    out.push_back(std::move(c));
+    out.push_back({op.kind, op.ewma_ms, op.ewma_group_frac, op.ewma_units,
+                   op.prune_block, op.prune_spatial});
   }
   return out;
 }

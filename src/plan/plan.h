@@ -416,12 +416,12 @@ struct PlanBuffer {
   bool planned = true;
 };
 
-// Snapshot of one op's cost for the serving-side latency cost model.
+// Snapshot of one op's measured cost: the per-op latency model that
+// predict_batch_ms, the serving LatencyController and admission control
+// all price batches with.
 struct OpCost {
-  std::string name;
   OpKind kind = OpKind::kConv;
-  int64_t dense_macs = 0;  // per sample
-  double ewma_ms = 0.0;    // raw smoothed per-batch step time
+  double ewma_ms = 0.0;  // raw smoothed per-batch step time
   // Observed mean group-COST fraction (ceil(groups / parallel width) /
   // batch): with groups dispatched across pool workers, a masked step
   // costs the critical-path worker's dispatches x compacted size — a max
@@ -432,22 +432,20 @@ struct OpCost {
   double measured_units = 1.0;
   int prune_block = -1;
   bool prune_spatial = false;
-  // Dense-path memory traffic per MAC under the plan's current regime:
-  // (weight bytes + im2col panel bytes + f32 output bytes) / dense MACs.
-  // Int8 conv steps move ~4x fewer weight/activation bytes per MAC than
-  // f32, which is exactly what the controller needs to predict the int8
-  // vs f32 latency ratio for memory-bound steps. 0 for non-conv ops.
-  double bytes_per_mac = 0.0;
-  // Regime the snapshot was taken under (conv steps only; non-conv steps
-  // always run f32).
-  NumericRegime regime = NumericRegime::kF32;
 };
 
-// Predicted per-batch latency of a cost snapshot at hypothetical uniform
-// keep fractions: fixed-cost ops contribute their smoothed time, prunable
-// ops rescale theirs by (keep x observed group fraction) / measured
-// units — the same arithmetic the serving LatencyController inverts, made
-// available to admission control and benches without a controller.
+// Predicted per-batch time of one op at hypothetical keep fractions:
+// fixed-cost ops (prune_block < 0) cost their smoothed time, prunable ops
+// rescale theirs by (keep x observed group fraction) / measured units,
+// where keep is channel_keep, times spatial_keep when spatial drops also
+// scale the op. Rescaling one ratio of two smoothed series keeps a
+// fluctuating group count from inflating the estimate the way averaged
+// per-sample reciprocals would.
+double predict_op_ms(const OpCost& op, double channel_keep,
+                     double spatial_keep);
+
+// Predicted per-batch latency of a cost snapshot at uniform keep
+// fractions: predict_op_ms summed in op order.
 double predict_batch_ms(const std::vector<OpCost>& ops, double channel_keep,
                         double spatial_keep);
 
@@ -474,12 +472,11 @@ class InferencePlan {
 
   // Switches the plan's numeric regime. Entering kInt8 quantizes every
   // conv step's weight per output channel (a one-time compile-style cost;
-  // idempotent — already-quantized steps are kept). Measured step-time
-  // EWMAs are rescaled by the regimes' bytes/MAC ratio so the cost model
-  // predicts the new regime's latency from the old regime's measurements
-  // instead of relearning from a cold prior. Caches need no invalidation:
-  // the panel match key includes the regime. Call before reserve() — the
-  // int8 paths need quantized-column scratch the f32 sizing omits.
+  // idempotent — already-quantized steps are kept). Measured step times
+  // carry over unchanged; the EWMAs relearn the new regime as its passes
+  // land. Caches need no invalidation: the panel match key includes the
+  // regime. Call before reserve() — the int8 paths need quantized-column
+  // scratch the f32 sizing omits.
   void set_regime(NumericRegime regime);
   NumericRegime regime() const { return regime_; }
 
@@ -568,8 +565,8 @@ class InferencePlan {
   // WeightPanelCache::bypass).
   int64_t pack_cache_bypass() const;
 
-  // Thread-unsafe snapshot for the owner thread; the scheduler converts it
-  // into a LatencyController cost model.
+  // Thread-unsafe snapshot for the owner thread; the scheduler hands it
+  // to the LatencyController as its cost model.
   std::vector<OpCost> cost_snapshot() const;
 
   // Human-readable op table (antidote_cli plan-dump).

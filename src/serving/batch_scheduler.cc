@@ -11,26 +11,6 @@ namespace antidote::serving {
 
 namespace {
 
-// Distills a plan's measured per-op timings into the controller's cost
-// model: prunable conv steps carry the block whose drop ratios scale
-// them, everything else is fixed cost.
-LatencyController::CostModel cost_model_from_plan(
-    const plan::InferencePlan& plan) {
-  LatencyController::CostModel model;
-  model.ops.reserve(plan.ops().size());
-  for (const plan::OpCost& c : plan.cost_snapshot()) {
-    LatencyController::CostModel::Op op;
-    op.ms = c.ewma_ms;
-    op.group_frac = c.group_frac;
-    op.measured_units = c.measured_units;
-    op.prune_block = c.prune_block;
-    op.spatial = c.prune_spatial;
-    op.bytes_per_mac = c.bytes_per_mac;
-    model.ops.push_back(op);
-  }
-  return model;
-}
-
 double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
@@ -275,7 +255,7 @@ void BatchScheduler::run_batch(int worker_index, ModelReplica& replica,
     thread_local int64_t batches_since_refresh = 0;
     if (batches_since_refresh++ % 8 == 0) {
       if (const plan::InferencePlan* plan = replica.plan()) {
-        controller_->set_cost_model(cost_model_from_plan(*plan));
+        controller_->set_cost_model(plan->cost_snapshot());
       }
     }
     const double batch_latency_ms = assemble_ms + forward_ms + scatter_ms;

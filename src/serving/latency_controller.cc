@@ -33,14 +33,14 @@ double LatencyController::percentile(std::vector<double> values, double q) {
   return values[idx - 1];
 }
 
-void LatencyController::set_cost_model(CostModel model) {
+void LatencyController::set_cost_model(std::vector<plan::OpCost> costs) {
   std::lock_guard<std::mutex> lock(mutex_);
-  cost_model_ = std::move(model);
+  costs_ = std::move(costs);
 }
 
 bool LatencyController::has_cost_model() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return !cost_model_.empty();
+  return !costs_.empty();
 }
 
 double LatencyController::predict_ms(float offset) const {
@@ -50,29 +50,18 @@ double LatencyController::predict_ms(float offset) const {
 
 double LatencyController::predict_ms_locked(float offset) const {
   double total = 0.0;
-  for (const CostModel::Op& op : cost_model_.ops) {
+  for (const plan::OpCost& op : costs_) {
     if (op.prune_block < 0 ||
         op.prune_block >= static_cast<int>(base_.channel_drop.size())) {
-      total += op.ms;
+      total += op.ewma_ms;  // no settings block scales it: fixed cost
       continue;
     }
     const size_t b = static_cast<size_t>(op.prune_block);
     const float ch =
         std::clamp(base_.channel_drop[b] + offset, 0.f, config_.max_drop);
-    double keep = 1.0 - ch;
-    if (op.spatial) {
-      const float sp =
-          std::clamp(base_.spatial_drop[b] + offset, 0.f, config_.max_drop);
-      keep *= 1.0 - sp;
-    }
-    // Grouped execution: cost scales with the critical-path worker's
-    // group dispatches x compacted size (groups run concurrently, so the
-    // group term is a max over workers, not a sum over groups). Rescale
-    // the raw measured time from the units it was observed at to the
-    // hypothesized keep x observed group-cost fraction.
-    const double measured =
-        op.measured_units > 1e-4 ? op.measured_units : 1.0;
-    total += op.ms * (keep * op.group_frac) / measured;
+    const float sp =
+        std::clamp(base_.spatial_drop[b] + offset, 0.f, config_.max_drop);
+    total += plan::predict_op_ms(op, 1.0 - ch, 1.0 - sp);
   }
   return total;
 }
@@ -141,7 +130,7 @@ bool LatencyController::record_batch(
   if (last_window_p95_ms_ > target ||
       last_window_p95_ms_ < config_.low_watermark * target) {
     const double predicted =
-        cost_model_.empty() ? 0.0 : predict_ms_locked(offset_);
+        costs_.empty() ? 0.0 : predict_ms_locked(offset_);
     if (predicted > 0.0) {
       // Cost-model inversion: calibrate the model against the realized
       // p95 (absorbing batching/queueing overhead the per-op timings miss)
@@ -194,7 +183,7 @@ double LatencyController::predicted_request_cost_ms(int max_batch,
   // Per-batch cost spread over a full batch and the worker pool: the
   // steady-state marginal cost of one more queued request.
   const double per_slot = static_cast<double>(max_batch) * workers;
-  if (!cost_model_.empty()) {
+  if (!costs_.empty()) {
     const double batch_ms = predict_ms_locked(offset_);
     if (batch_ms > 0.0) return batch_ms / per_slot;
   }

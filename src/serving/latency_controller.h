@@ -16,13 +16,15 @@
 // PruneSettings::clamped, so the shipped settings never leave
 // [0, max_drop].
 //
-// With a *cost model* attached (built by the BatchScheduler from a
-// replica's compiled InferencePlan: measured per-op step times plus which
-// settings block's drop ratios scale each op), the controller stops
+// With a *cost model* attached — a replica plan's cost_snapshot(), which
+// the BatchScheduler hands over as is: measured per-op step times plus
+// which settings block's drop ratios scale each op — the controller stops
 // walking the offset blindly: it calibrates the model against the
 // realized p95 and inverts it — picking the smallest drop offset whose
 // predicted latency meets the budget — so it converges in one or two
-// windows instead of many proportional steps. Without a cost model the
+// windows instead of many proportional steps. Each op is priced by
+// plan::predict_op_ms, the formula behind plan::predict_batch_ms, so the
+// controller keeps no latency model of its own. Without a cost model the
 // original EWMA/proportional behaviour is unchanged.
 //
 // The controller is pure feedback — it never touches a model — which keeps
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "plan/plan.h"
 
 namespace antidote::serving {
 
@@ -68,50 +71,20 @@ class LatencyController {
     double recovery_decay = 0.5;
   };
 
-  // Per-op latency cost model distilled from an InferencePlan's measured
-  // timings. Ops with prune_block >= 0 have their cost scaled by the keep
-  // ratios that block's drop settings imply; the rest are fixed cost.
-  // Under mask-grouped execution with cross-group parallelism a masked
-  // conv's realized cost scales with the CRITICAL-PATH worker's group
-  // dispatches x compacted size (groups run concurrently over pool
-  // workers, so group cost is a max over workers, not a sum over groups)
-  // — so each prunable op also carries the plan's observed group-cost
-  // fraction (ceil(groups / parallel width) / batch, ewma) and the cost
-  // units its measured time was observed at. Prediction rescales the raw measured time by
-  // hypothetical units / measured units — a single division of two
-  // smoothed series, so fluctuating group counts cannot inflate the
-  // estimate the way per-sample normalization (averaged reciprocals)
-  // would.
-  struct CostModel {
-    struct Op {
-      double ms = 0.0;          // raw smoothed per-batch time
-      double group_frac = 1.0;  // observed distinct-mask fraction
-      int prune_block = -1;
-      bool spatial = false;  // spatial drops also scale this op
-      // keep x group units behind `ms` (1 = measured dense/ungrouped).
-      double measured_units = 1.0;
-      // Dense memory traffic per MAC under the plan's numeric regime
-      // (int8 conv steps report ~4x less than f32). The plan rescales its
-      // EWMAs by this ratio on a regime switch, so `ms` already reflects
-      // the regime — carried here so diagnostics and future bandwidth-
-      // aware prediction see the same axis. 0 for non-conv ops.
-      double bytes_per_mac = 0.0;
-    };
-    std::vector<Op> ops;
-    bool empty() const { return ops.empty(); }
-  };
-
   // `base` is the operator's per-block starting point (block count must
   // match the served model).
   LatencyController(core::PruneSettings base, Config config);
 
-  // Installs/refreshes the cost model (thread-safe; any worker may call
-  // it between batches as plan timings accumulate).
-  void set_cost_model(CostModel model);
+  // Installs/refreshes the cost model, a plan's cost_snapshot()
+  // (thread-safe; any worker may call it between batches as plan timings
+  // accumulate). Ops whose prune_block names no settings block are fixed
+  // cost.
+  void set_cost_model(std::vector<plan::OpCost> costs);
   bool has_cost_model() const;
   // Predicted batch latency at a hypothetical drop offset under the
-  // current (uncalibrated) cost model; 0 without a model. Exposed for
-  // tests and diagnostics.
+  // current (uncalibrated) cost model: each op priced by
+  // plan::predict_op_ms at its block's keep ratios; 0 without a model.
+  // Exposed for tests and diagnostics.
   double predict_ms(float offset) const;
 
   // Thread-safe. Records one completed batch; when this closes a control
@@ -178,7 +151,7 @@ class LatencyController {
   const Config config_;
   const core::PruneSettings base_;
   mutable std::mutex mutex_;
-  CostModel cost_model_;
+  std::vector<plan::OpCost> costs_;
   std::atomic<uint64_t> sheds_pending_{0};
   bool shedding_active_ = false;  // guarded by mutex_
   float offset_ = 0.f;

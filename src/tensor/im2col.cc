@@ -105,15 +105,6 @@ inline void lower_row_span(const float* plane, const ConvGeom& g, int kh,
   }
 }
 
-// True when `spatial` keeps every output position. The contract (strictly
-// increasing indices in [0, out_positions())) makes the endpoint check
-// sufficient.
-inline bool spatial_is_identity(std::span<const int> spatial, int64_t pos) {
-  return static_cast<int64_t>(spatial.size()) == pos &&
-         (pos == 0 || (spatial.front() == 0 &&
-                       spatial.back() == static_cast<int>(pos) - 1));
-}
-
 }  // namespace
 
 void ConvGeom::validate() const {
@@ -196,78 +187,15 @@ void im2col_range_scalar(const float* input, const ConvGeom& g, int c0,
 }
 
 void im2col_gather(const float* input, const ConvGeom& g,
-                   std::span<const int> channels, std::span<const int> spatial,
-                   float* cols) {
-  im2col_gather_ld(input, g, channels, spatial, cols,
-                   static_cast<int64_t>(spatial.size()));
-}
-
-void im2col_gather_ld(const float* input, const ConvGeom& g,
-                      std::span<const int> channels,
-                      std::span<const int> spatial, float* cols, int64_t ld) {
-  const int ow = g.out_w();
-  const int64_t n_cols = static_cast<int64_t>(spatial.size());
-  AD_CHECK_GE(ld, n_cols);
-  const bool identity = spatial_is_identity(spatial, g.out_positions());
+                   std::span<const int> channels, float* cols) {
+  const int64_t n_cols = g.out_positions();
   int64_t row = 0;
   for (int c : channels) {
     AD_CHECK(c >= 0 && c < g.in_c) << " gathered channel " << c;
     const float* plane = input + static_cast<int64_t>(c) * g.in_h * g.in_w;
     for (int kh = 0; kh < g.k_h; ++kh) {
       for (int kw = 0; kw < g.k_w; ++kw, ++row) {
-        float* out_row = cols + row * ld;
-        if (identity) {
-          // Every position kept: this lowered row is the dense one.
-          lower_row(plane, g, kh, kw, out_row);
-          continue;
-        }
-        // Kept positions are strictly increasing, so (y, x) advance
-        // monotonically — walk them incrementally instead of paying a
-        // div/mod per gathered element.
-        int y = 0, y_edge = ow;
-        for (int64_t j = 0; j < n_cols; ++j) {
-          const int s = spatial[static_cast<size_t>(j)];
-          while (s >= y_edge) {
-            ++y;
-            y_edge += ow;
-          }
-          const int x = s - (y_edge - ow);
-          const int iy = y * g.stride - g.pad + kh;
-          const int ix = x * g.stride - g.pad + kw;
-          out_row[j] = (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-                           ? plane[static_cast<int64_t>(iy) * g.in_w + ix]
-                           : 0.f;
-        }
-      }
-    }
-  }
-}
-
-ANTIDOTE_NO_VECTORIZE
-void im2col_gather_ld_scalar(const float* input, const ConvGeom& g,
-                             std::span<const int> channels,
-                             std::span<const int> spatial, float* cols,
-                             int64_t ld) {
-  const int ow = g.out_w();
-  const int64_t n_cols = static_cast<int64_t>(spatial.size());
-  AD_CHECK_GE(ld, n_cols);
-  int64_t row = 0;
-  for (int c : channels) {
-    AD_CHECK(c >= 0 && c < g.in_c) << " gathered channel " << c;
-    const float* plane = input + static_cast<int64_t>(c) * g.in_h * g.in_w;
-    for (int kh = 0; kh < g.k_h; ++kh) {
-      for (int kw = 0; kw < g.k_w; ++kw, ++row) {
-        float* out_row = cols + row * ld;
-        for (int64_t j = 0; j < n_cols; ++j) {
-          const int s = spatial[static_cast<size_t>(j)];
-          const int y = s / ow;
-          const int x = s % ow;
-          const int iy = y * g.stride - g.pad + kh;
-          const int ix = x * g.stride - g.pad + kw;
-          out_row[j] = (iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w)
-                           ? plane[static_cast<int64_t>(iy) * g.in_w + ix]
-                           : 0.f;
-        }
+        lower_row(plane, g, kh, kw, cols + row * n_cols);
       }
     }
   }

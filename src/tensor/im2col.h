@@ -1,8 +1,9 @@
 // im2col / col2im lowering for convolution, plus gather variants that skip
-// masked input channels and masked output positions. The gather variants are
-// the computational backbone of AntiDote's dynamic pruning: a pruned channel
-// contributes no rows and a pruned spatial column contributes no columns to
-// the GEMM, so the FLOPs saving is real, not simulated.
+// masked input channels. The gather variants are the computational
+// backbone of AntiDote's channel pruning: a pruned channel contributes no
+// rows to the GEMM, so the FLOPs saving is real, not simulated. (Spatial
+// masks skip columns without a lowering: see the shift-GEMM in
+// nn/conv_kernels.h.)
 #pragma once
 
 #include <span>
@@ -48,50 +49,29 @@ void im2col_range(const float* input, const ConvGeom& g, int c0, int c1,
 // Position-tiled gathered lowering, the conv executor's only lowering:
 // lowers the kept `channels` rows over output positions [p0, p1) only,
 // each row written at `cols + row * ld` (row counts gathered channels from
-// 0). Equals the [p0, p1) column slice of im2col_gather_ld with a full
-// identity `spatial` set, bit for bit; over every channel that is the
-// column slice of the dense im2col. Channels lower independently, so a
-// caller can fill one tile's rows in parallel, one channel per call.
+// 0). Equals the [p0, p1) column slice of im2col_gather, bit for bit;
+// over every channel that is the column slice of the dense im2col.
+// Channels lower independently, so a caller can fill one tile's rows in
+// parallel, one channel per call.
 void im2col_gather_pos_ld(const float* input, const ConvGeom& g,
                           std::span<const int> channels, int64_t p0,
                           int64_t p1, float* cols, int64_t ld);
 
-// Gathered lowering for masked convolution.
-//  - `channels`: kept input-channel indices (strictly increasing).
-//  - `spatial`:  kept output positions as flattened oh*out_w+ow indices
-//                (strictly increasing).
-// cols must hold channels.size()*kh*kw rows by spatial.size() columns.
+// Channel-gathered lowering over every output position, the module walk's
+// (conv_sample_masked) lowering: the kept `channels` (strictly
+// increasing) each contribute their kh*kw dense im2col rows, so cols must
+// hold channels.size()*kh*kw rows by out_positions() columns. It fills
+// whole rows with the dense lowering's row primitive, independent of the
+// plan's tiled one above.
 void im2col_gather(const float* input, const ConvGeom& g,
-                   std::span<const int> channels, std::span<const int> spatial,
-                   float* cols);
+                   std::span<const int> channels, float* cols);
 
-// Strided variant for mask-grouped batched execution: writes the sample's
-// spatial.size() columns into a wider [rows x ld] matrix starting at
-// `cols` (the caller offsets `cols` to the sample's column slot), so a
-// whole group's gathered patches form one contiguous GEMM operand with
-// each member occupying a column slice. ld == spatial.size() reproduces
-// im2col_gather exactly.
-//
-// Fast paths (bitwise identical to the reference): when `spatial` is the
-// full identity range (every output position kept — the channel-mask hot
-// path) each lowered row is filled with the dense contiguous-span copy;
-// otherwise the kept positions are decomposed into (y, x) incrementally
-// (they are strictly increasing), eliminating the per-element div/mod of
-// the reference.
-void im2col_gather_ld(const float* input, const ConvGeom& g,
-                      std::span<const int> channels,
-                      std::span<const int> spatial, float* cols, int64_t ld);
-
-// Genuinely scalar reference implementations (kept un-autovectorized) of
-// the two lowering kernels above. They define the values the optimized
-// paths must reproduce BIT FOR BIT — the SIMD parity suite asserts it —
-// and serve as the scalar leg of the im2col/gather micro-benchmarks.
+// Genuinely scalar reference implementation (kept un-autovectorized) of
+// the dense lowering. It defines the values the optimized row primitive
+// must reproduce BIT FOR BIT, in im2col_range and im2col_gather alike —
+// the SIMD parity suite asserts it.
 void im2col_range_scalar(const float* input, const ConvGeom& g, int c0,
                          int c1, float* cols);
-void im2col_gather_ld_scalar(const float* input, const ConvGeom& g,
-                             std::span<const int> channels,
-                             std::span<const int> spatial, float* cols,
-                             int64_t ld);
 
 // Scatter-add transpose of im2col: cols [C*kh*kw, out_h*out_w] accumulated
 // into input_grad [C,H,W] (caller zero-initializes input_grad).

@@ -280,7 +280,7 @@ struct KernelRig {
   }
   int64_t out_floats() const { return kOutC * g.out_positions(); }
   nn::ConvIdentityIndices ids() const {
-    return {iota.data(), iota.data(), iota.data()};
+    return {iota.data(), iota.data()};
   }
   const float* bias_or_null() const {
     return with_bias ? bias.data() : nullptr;

@@ -87,9 +87,7 @@ TEST(Im2colGather, FullIndexSetsMatchDense) {
   im2col(x.data(), g, dense.data());
 
   Tensor gathered({static_cast<int>(rows), static_cast<int>(cols_n)});
-  const auto all_ch = iota_vec(c);
-  const auto all_sp = iota_vec(static_cast<int>(cols_n));
-  im2col_gather(x.data(), g, all_ch, all_sp, gathered.data());
+  im2col_gather(x.data(), g, iota_vec(c), gathered.data());
 
   for (int64_t i = 0; i < dense.size(); ++i) {
     EXPECT_EQ(dense[i], gathered[i]);
@@ -109,8 +107,7 @@ TEST(Im2colGather, ChannelSubsetPicksMatchingRows) {
   const std::vector<int> ch = {1, 3};
   Tensor gathered({static_cast<int>(ch.size()) * k * k,
                    static_cast<int>(cols_n)});
-  im2col_gather(x.data(), g, ch, iota_vec(static_cast<int>(cols_n)),
-                gathered.data());
+  im2col_gather(x.data(), g, ch, gathered.data());
 
   for (size_t ci = 0; ci < ch.size(); ++ci) {
     for (int kk = 0; kk < k * k; ++kk) {
@@ -124,35 +121,12 @@ TEST(Im2colGather, ChannelSubsetPicksMatchingRows) {
   }
 }
 
-TEST(Im2colGather, SpatialSubsetPicksMatchingColumns) {
-  Rng rng(4);
-  const int c = 2, h = 5, w = 5;
-  Tensor x = Tensor::randn({c, h, w}, rng);
-  ConvGeom g{c, h, w, 3, 3, 1, 1};
-  const int rows = static_cast<int>(g.patch_rows());
-
-  Tensor dense({rows, static_cast<int>(g.out_positions())});
-  im2col(x.data(), g, dense.data());
-
-  const std::vector<int> sp = {0, 7, 12, 24};
-  Tensor gathered({rows, static_cast<int>(sp.size())});
-  im2col_gather(x.data(), g, iota_vec(c), sp, gathered.data());
-
-  for (int r = 0; r < rows; ++r) {
-    for (size_t j = 0; j < sp.size(); ++j) {
-      EXPECT_EQ(gathered.at({r, static_cast<int>(j)}),
-                dense.at({r, sp[j]}));
-    }
-  }
-}
-
 TEST(Im2colGather, RejectsBadChannel) {
   Tensor x({2, 3, 3});
   ConvGeom g{2, 3, 3, 3, 3, 1, 1};
   Tensor out({9, 9});
   const std::vector<int> bad_ch = {5};
-  EXPECT_THROW(
-      im2col_gather(x.data(), g, bad_ch, iota_vec(9), out.data()), Error);
+  EXPECT_THROW(im2col_gather(x.data(), g, bad_ch, out.data()), Error);
 }
 
 TEST(Col2im, IsAdjointOfIm2col) {
@@ -265,9 +239,10 @@ TEST(Im2colTiled, GatherPosOneChannelPerCallFillsItsRowsOnly) {
 }
 
 TEST(Im2colTiled, GatherPosLdMatchesGatherColumnSlices) {
-  // Channel-masked tiled lowering vs the full gathered lowering: the tile
-  // is the exact [p0, p1) column slice, for stride-1/pad-1 and the
-  // stride-2/pad-0 downsampling geometry.
+  // Channel-masked tiled lowering (lower_row_span) vs the module walk's
+  // gathered lowering (lower_row): the tile is the exact [p0, p1) column
+  // slice, for stride-1/pad-1 and the stride-2/pad-0 downsampling
+  // geometry.
   const ConvGeom geoms[] = {
       {3, 9, 8, 3, 3, 1, 1},
       {3, 11, 9, 3, 3, 2, 0},
@@ -281,7 +256,7 @@ TEST(Im2colTiled, GatherPosLdMatchesGatherColumnSlices) {
     const int pos = static_cast<int>(g.out_positions());
 
     Tensor full({rows, pos});
-    im2col_gather_ld(x.data(), g, channels, iota_vec(pos), full.data(), pos);
+    im2col_gather(x.data(), g, channels, full.data());
 
     const int64_t tile = 5;  // ragged: 5 divides neither 72 nor 25
     Tensor panel({rows, static_cast<int>(tile)});

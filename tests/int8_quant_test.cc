@@ -1,10 +1,9 @@
 // Int8 regime semantics above the kernel layer: quantize -> dequantize
 // round-trip error bounds, zero-row and clamp edge cases, the 4-way LRU
 // weight-panel cache (hit behaviour at <= kWays distinct masks, LRU
-// thrash beyond, and the cold-vs-capacity miss taxonomy), the cost
-// model's regime-aware bytes/MAC terms with the set_regime EWMA rescale,
-// and an end-to-end small-plan check: int8 logits stay close to f32 and
-// a reserved arena executes the int8 regime with zero growths.
+// thrash beyond, and the cold-vs-capacity miss taxonomy), and an
+// end-to-end small-plan check: int8 logits stay close to f32 and a
+// reserved arena executes the int8 regime with zero growths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -229,45 +228,6 @@ TEST(Int8Quant, FullSetPanelIsTheQuantizedWeightsByteForByte) {
 }
 
 // --- plan-level regime ------------------------------------------------------
-
-TEST(Int8Quant, CostModelBytesPerMacAndEwmaRescale) {
-  Rng rng(64);
-  auto net = models::make_model("small_cnn", 10, 1.0f, rng);
-  net->set_training(false);
-  Tensor x = Tensor::randn({2, 3, 16, 16}, rng);
-  nn::ExecutionContext ctx;
-  ctx.begin_pass();
-  net->forward(x, ctx);  // populate the conv-step EWMAs
-  plan::InferencePlan& plan = net->inference_plan(3, 16, 16);
-  const auto f32_costs = plan.cost_snapshot();
-  plan.set_regime(plan::NumericRegime::kInt8);
-  const auto i8_costs = plan.cost_snapshot();
-  ASSERT_EQ(f32_costs.size(), i8_costs.size());
-  int convs = 0;
-  for (size_t i = 0; i < f32_costs.size(); ++i) {
-    const plan::OpCost& a = f32_costs[i];
-    const plan::OpCost& b = i8_costs[i];
-    if (a.kind != plan::OpKind::kConv) {
-      EXPECT_EQ(b.bytes_per_mac, 0.0) << a.name;
-      continue;
-    }
-    ++convs;
-    EXPECT_EQ(a.regime, plan::NumericRegime::kF32) << a.name;
-    EXPECT_EQ(b.regime, plan::NumericRegime::kInt8) << b.name;
-    // Int8 shrinks the weight and im2col operand terms 4x; the f32
-    // output term stays, so the ratio lands strictly between 1/4 and 1.
-    EXPECT_GT(a.bytes_per_mac, 0.0) << a.name;
-    EXPECT_LT(b.bytes_per_mac, a.bytes_per_mac) << a.name;
-    EXPECT_GT(b.bytes_per_mac, a.bytes_per_mac / 4.0) << a.name;
-    // set_regime carries the learned timing across the switch by scaling
-    // the EWMA with the bytes/MAC ratio.
-    if (a.ewma_ms > 0.0) {
-      const double expect = a.ewma_ms * (b.bytes_per_mac / a.bytes_per_mac);
-      EXPECT_NEAR(b.ewma_ms, expect, 1e-9 + 1e-6 * expect) << a.name;
-    }
-  }
-  EXPECT_GE(convs, 2);
-}
 
 TEST(Int8Quant, Int8PlanStaysCloseToF32WithZeroGrowthsReserved) {
   Rng rng(65);

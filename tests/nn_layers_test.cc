@@ -321,14 +321,19 @@ TEST_F(MaskedConvTest, RejectsDuplicateUnsortedAndNegativeMaskIndices) {
   // Index sets must be strictly increasing and positions non-negative:
   // a duplicate position would reach the spatial kernels' inverse table
   // once but the per-sample scatter twice, and a negative one would be an
-  // out-of-bounds gather. Both set_runtime_masks overloads validate.
-  const auto rejects = [&](void (*set)(ConvRuntimeMask&)) {
+  // out-of-bounds gather. Positions also need a conv that preserves its
+  // grid (stride 1, 2 * pad == k - 1), checked here rather than after
+  // bucketing, where a coarsened union would drop them silently. Both
+  // set_runtime_masks overloads validate.
+  const auto rejects = [&](void (*set)(ConvRuntimeMask&),
+                           Conv2d* conv = nullptr) {
+    if (conv == nullptr) conv = conv_.get();
     std::vector<ConvRuntimeMask> bad(2);
     set(bad[1]);
     EXPECT_THROW(
-        conv_->set_runtime_masks(std::span<const ConvRuntimeMask>(bad)),
+        conv->set_runtime_masks(std::span<const ConvRuntimeMask>(bad)),
         Error);
-    EXPECT_THROW(conv_->set_runtime_masks(std::move(bad)), Error);
+    EXPECT_THROW(conv->set_runtime_masks(std::move(bad)), Error);
   };
   rejects([](ConvRuntimeMask& m) { m.channels = {0, 0}; });
   rejects([](ConvRuntimeMask& m) { m.channels = {2, 1}; });
@@ -338,21 +343,15 @@ TEST_F(MaskedConvTest, RejectsDuplicateUnsortedAndNegativeMaskIndices) {
   rejects([](ConvRuntimeMask& m) { m.positions = {-2, 4, 9}; });
   rejects([](ConvRuntimeMask& m) { m.out_channels = {2, 2}; });
   rejects([](ConvRuntimeMask& m) { m.out_channels = {3, 1}; });
+  Conv2d strided(4, 6, 3, 2, 1, false), unpadded(4, 6, 3, 1, 0, false);
+  for (Conv2d* off_grid : {&strided, &unpadded}) {
+    rejects([](ConvRuntimeMask& m) { m.positions = {0, 4, 9}; }, off_grid);
+  }
   std::vector<ConvRuntimeMask> ok(2);
   ok[1].channels = {0, 2};
   ok[1].positions = {0, 4, 9};
   ok[1].out_channels = {1, 3};
   EXPECT_NO_THROW(conv_->set_runtime_masks(ok));
-}
-
-TEST(MaskedConv, SpatialMaskOnStridedConvThrows) {
-  Conv2d conv(2, 2, 3, 2, 1, false);
-  Rng rng(1);
-  Tensor x = Tensor::randn({1, 2, 8, 8}, rng);
-  std::vector<ConvRuntimeMask> masks(1);
-  masks[0].positions = {0, 1};
-  conv.set_runtime_masks(masks);
-  EXPECT_THROW(conv.forward(x), Error);
 }
 
 // --- Linear ---

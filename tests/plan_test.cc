@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/fbs_gate.h"
 #include "core/engine.h"
 #include "models/factory.h"
 #include "models/small_cnn.h"
@@ -113,6 +114,44 @@ TEST(InferencePlan, MaskedExecutionThroughFusedStepsMatchesModuleWalk) {
     EXPECT_LT(net->last_macs(), plan->dense_macs_per_sample() * 3)
         << c.model;
     engine.remove();
+  }
+}
+
+TEST(InferencePlan, FbsGatedPlanBitwiseMatchesModuleWalk) {
+  // FbsGate has no context overload: nn::Module's fallback to the plain
+  // forward is its only route into a plan. Gate every site that has a
+  // consumer, then hold the plan to the module walk bit for bit, on the
+  // compiling pass and on a warm one.
+  for (const Case& c : kCases) {
+    auto net = build(c);
+    int gated = 0;
+    for (int s = 0; s < net->num_gate_sites(); ++s) {
+      nn::Conv2d* consumer = net->gate_consumer(s);
+      if (consumer == nullptr) continue;
+      net->install_gate(s, std::make_unique<baselines::FbsGate>(
+                               consumer->in_channels(), 0.5f, consumer,
+                               /*seed=*/100 + s));
+      ++gated;
+    }
+    ASSERT_GT(gated, 0) << c.model;
+    Rng rng(9);
+    Tensor x = Tensor::randn({3, 3, c.image, c.image}, rng);
+    const Tensor plain = net->forward(x);
+
+    nn::ExecutionContext ctx;
+    for (int pass = 0; pass < 2; ++pass) {
+      ctx.begin_pass();
+      const Tensor fused = net->forward(x, ctx);
+      EXPECT_TRUE(bitwise_equal(plain, fused))
+          << c.model << " pass " << pass << " max |diff| "
+          << max_abs_diff(plain, fused);
+    }
+    // The gates' channel masks reached the plan's conv steps.
+    const plan::InferencePlan* plan = net->current_plan();
+    ASSERT_NE(plan, nullptr);
+    EXPECT_GT(plan->last_mask_groups(), 0) << c.model;
+    EXPECT_LT(net->last_macs(), plan->dense_macs_per_sample() * 3)
+        << c.model;
   }
 }
 

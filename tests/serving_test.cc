@@ -14,6 +14,8 @@
 #include "base/rng.h"
 #include "core/engine.h"
 #include "models/factory.h"
+#include "nn/execution_context.h"
+#include "plan/plan.h"
 #include "serving/serving.h"
 
 namespace antidote::serving {
@@ -392,10 +394,8 @@ TEST(LatencyController, CostModelInversionConvergesInOneWindow) {
   cfg.step = 0.02f;  // tiny step: the EWMA walk alone would crawl
   LatencyController lc(core::PruneSettings::uniform(1, 0.1f, 0.f), cfg);
 
-  LatencyController::CostModel model;
-  model.ops.push_back({4.0, 1.0, -1, false});
-  model.ops.push_back({16.0, 1.0, 0, false});
-  lc.set_cost_model(std::move(model));
+  lc.set_cost_model({{.ewma_ms = 4.0, .prune_block = -1},
+                     {.ewma_ms = 16.0, .prune_block = 0}});
   ASSERT_TRUE(lc.has_cost_model());
   EXPECT_NEAR(lc.predict_ms(0.f), 4.0 + 16.0 * 0.9, 1e-6);
 
@@ -424,10 +424,8 @@ TEST(LatencyController, CostModelScalesWithMaskGroupFraction) {
   LatencyController::Config cfg;
   cfg.target_p95_ms = 10.0;
   LatencyController lc(core::PruneSettings::uniform(1, 0.f, 0.f), cfg);
-  LatencyController::CostModel model;
-  model.ops.push_back({8.0, 1.0, -1, false});
-  model.ops.push_back({16.0, 0.25, 0, false});
-  lc.set_cost_model(std::move(model));
+  lc.set_cost_model({{.ewma_ms = 8.0, .prune_block = -1},
+                     {.ewma_ms = 16.0, .group_frac = 0.25, .prune_block = 0}});
   EXPECT_NEAR(lc.predict_ms(0.f), 8.0 + 16.0 * 0.25, 1e-6);
   EXPECT_NEAR(lc.predict_ms(0.5f), 8.0 + 16.0 * 0.5 * 0.25, 1e-6);
 }
@@ -437,12 +435,46 @@ TEST(LatencyController, CostModelUnreachableBudgetSaturates) {
   cfg.target_p95_ms = 1.0;  // below the 4 ms fixed floor
   cfg.window = 1;
   LatencyController lc(core::PruneSettings::uniform(1, 0.f, 0.f), cfg);
-  LatencyController::CostModel model;
-  model.ops.push_back({4.0, 1.0, -1, false});
-  model.ops.push_back({16.0, 1.0, 0, true});
-  lc.set_cost_model(std::move(model));
+  lc.set_cost_model(
+      {{.ewma_ms = 4.0, .prune_block = -1},
+       {.ewma_ms = 16.0, .prune_block = 0, .prune_spatial = true}});
   lc.record_batch(20.0, kKeep, 1);
   EXPECT_FLOAT_EQ(lc.offset(), cfg.max_offset);
+}
+
+TEST(LatencyController, PricesARealPlanSnapshotLikePredictBatchMs) {
+  // The controller keeps no cost model of its own: fed a real plan's
+  // snapshot under uniform drops, its prediction is the plan's.
+  Rng rng(21);
+  auto net = models::make_model("vgg16", 10, 0.25f, rng);
+  net->set_training(false);
+  const float ch = 0.4f, sp = 0.3f;
+  const auto base = core::PruneSettings::uniform(net->num_blocks(), ch, sp);
+  core::DynamicPruningEngine engine(*net, base);
+  Tensor x = Tensor::randn({4, 3, 32, 32}, rng);
+  nn::ExecutionContext ctx;
+  for (int pass = 0; pass < 3; ++pass) {
+    ctx.begin_pass();
+    net->forward(x, ctx);
+  }
+  const std::vector<plan::OpCost> snapshot =
+      net->inference_plan(3, 32, 32).cost_snapshot();
+  int timed_prunable = 0, spatial = 0;
+  for (const plan::OpCost& op : snapshot) {
+    if (op.prune_block < 0 || op.ewma_ms <= 0.0) continue;
+    ++timed_prunable;
+    if (op.prune_spatial) ++spatial;
+  }
+  ASSERT_GT(timed_prunable, 0);
+  ASSERT_GT(spatial, 0);
+  ASSERT_LT(spatial, timed_prunable);
+
+  LatencyController lc(base, LatencyController::Config{});
+  lc.set_cost_model(snapshot);
+  const double want = plan::predict_batch_ms(snapshot, 1.0 - ch, 1.0 - sp);
+  EXPECT_GT(want, 0.0);
+  EXPECT_DOUBLE_EQ(lc.predict_ms(0.f), want);
+  engine.remove();
 }
 
 TEST(LatencyController, HoldsStillInsideTheBand) {
