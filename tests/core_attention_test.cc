@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -150,27 +151,53 @@ std::vector<int> reference_kept(const std::vector<float>& att, int k,
 
 TEST(Mask, SelectionMatchesSortReferenceUnderTies) {
   Rng data_rng(31);
-  for (const int n : {1, 4, 16, 1024}) {
-    // Post-ReLU-like values on a coarse grid: about half exact zeros and
-    // many exact ties among the rest.
-    std::vector<float> att(static_cast<size_t>(n));
-    for (float& v : att) {
-      v = std::max(0.f, std::round(static_cast<float>(data_rng.normal()) *
-                                   4.f) / 4.f);
-    }
-    for (const int k : {1, n - 1, n}) {
-      if (k < 1) continue;
-      // kept_count(n, k_drop / n) == k for these exact ratios.
-      const float drop =
-          static_cast<float>(n - k) / static_cast<float>(n);
-      ASSERT_EQ(kept_count(n, drop), k);
-      for (const MaskOrder order : {MaskOrder::kAttention, MaskOrder::kRandom,
-                                    MaskOrder::kInverseAttention}) {
-        Rng rng(static_cast<uint64_t>(n * 7 + k));
-        Rng ref_rng = rng;
-        const auto got = select_kept(att, drop, order, rng);
-        EXPECT_EQ(got, reference_kept(att, k, order, ref_rng))
-            << mask_order_name(order) << " n=" << n << " k=" << k;
+  // The suite's attention domains: 7x7, 14x14 and 56x56 spatial maps,
+  // beside small and power-of-two sizes.
+  for (const int n : {1, 4, 16, 49, 196, 1024, 3136}) {
+    for (const int variant : {0, 1, 2}) {
+      // Post-ReLU-like values on a coarse grid: about half exact zeros and
+      // many exact ties among the rest. Variant 1 turns one +0.0 into -0.0
+      // (equal to +0.0, so it ties with them by index); variant 2 adds
+      // +inf entries, which tie among themselves.
+      std::vector<float> att(static_cast<size_t>(n));
+      for (float& v : att) {
+        v = std::max(0.f, std::round(static_cast<float>(data_rng.normal()) *
+                                     4.f) / 4.f);
+      }
+      if (variant == 1) {
+        for (float& v : att) {
+          if (v == 0.f) {
+            v = -0.f;
+            break;
+          }
+        }
+      } else if (variant == 2) {
+        for (int i = 0; i < n; i += 5) {
+          att[static_cast<size_t>(i)] = std::numeric_limits<float>::infinity();
+        }
+      }
+      // Exact kept counts at both ends, then the suite's drop ratios.
+      std::vector<float> drops;
+      for (const int k : {1, n - 1, n}) {
+        if (k < 1) continue;
+        const float drop = static_cast<float>(n - k) / static_cast<float>(n);
+        // kept_count(n, k_drop / n) == k for these exact ratios.
+        ASSERT_EQ(kept_count(n, drop), k);
+        drops.push_back(drop);
+      }
+      drops.push_back(0.3f);
+      drops.push_back(0.5f);
+      for (const float drop : drops) {
+        const int k = kept_count(n, drop);
+        for (const MaskOrder order : {MaskOrder::kAttention, MaskOrder::kRandom,
+                                      MaskOrder::kInverseAttention}) {
+          Rng rng(static_cast<uint64_t>(n * 7 + k));
+          Rng ref_rng = rng;
+          const auto got = select_kept(att, drop, order, rng);
+          EXPECT_EQ(got, reference_kept(att, k, order, ref_rng))
+              << mask_order_name(order) << " n=" << n << " k=" << k
+              << " variant " << variant;
+        }
       }
     }
   }
