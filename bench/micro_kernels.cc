@@ -17,6 +17,7 @@
 #include "nn/conv2d.h"
 #include "nn/conv_kernels.h"
 #include "nn/init.h"
+#include "nn/pooling.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
 
@@ -270,7 +271,7 @@ BENCHMARK(BM_GateForward)->Arg(64)->Arg(128);
 // Each pair benches the vectorized kernel against its genuinely-scalar
 // reference (autovectorization suppressed) on identical data, so the
 // recorded ratio is the lane-width win of the epilogue / gather / scatter
-// stages. The two legs are bitwise identical (asserted by
+// / pool stages. The two legs are bitwise identical (asserted by
 // simd_parity_test); BENCH_kernels.json tracks the ratio across PRs.
 
 constexpr int kEpilogueC = 128;
@@ -369,6 +370,36 @@ void BM_ScatterScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterSimd);
 BENCHMARK(BM_ScatterScalar);
+
+// The plan's 2x2/stride-2 max-pool step, args {batch, channels, side}: an
+// imagenet224 shape (vgg16 w0.125's first pool at batch 4) and a cifar one
+// (vgg16 w0.25's first pool at batch 8).
+template <bool kSimd>
+void max_pool_bench(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int c = static_cast<int>(state.range(1));
+  const int side = static_cast<int>(state.range(2));
+  Rng rng(54);
+  Tensor x = Tensor::randn({n, c, side, side}, rng);
+  std::vector<float> y(static_cast<size_t>(n) * c * (side / 2) * (side / 2));
+  for (auto _ : state) {
+    if (kSimd) {
+      nn::max_pool_forward_into(x.data(), n, c, side, side, 2, 2, y.data());
+    } else {
+      nn::max_pool_forward_into_scalar(x.data(), n, c, side, side, 2, 2,
+                                       y.data());
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+void BM_MaxPoolSimd(benchmark::State& state) { max_pool_bench<true>(state); }
+void BM_MaxPoolScalar(benchmark::State& state) {
+  max_pool_bench<false>(state);
+}
+BENCHMARK(BM_MaxPoolSimd)->Args({4, 8, 224})->Args({8, 16, 32});
+BENCHMARK(BM_MaxPoolScalar)->Args({4, 8, 224})->Args({8, 16, 32});
 
 // --- int8 regime kernels ---------------------------------------------------
 //

@@ -1,5 +1,6 @@
 // Portable f32 SIMD lane abstraction for the non-GEMM hot path (fused
-// epilogue, mask gather/scatter, im2col packing) and the GEMM micro-kernel.
+// epilogue and its attention sums, mask gather/scatter, im2col packing,
+// 2x2 max-pool) and the GEMM micro-kernel.
 //
 // Three backends, selected at COMPILE time:
 //   - AVX2 (x86-64):  8 lanes (__m256)   — requires -mavx2 on the TU
@@ -72,6 +73,8 @@ inline vf zero() { return _mm256_setzero_ps(); }
 inline vf add(vf a, vf b) { return _mm256_add_ps(a, b); }
 inline vf sub(vf a, vf b) { return _mm256_sub_ps(a, b); }
 inline vf mul(vf a, vf b) { return _mm256_mul_ps(a, b); }
+// a > b ? a : b: maxps returns its second operand when either is NaN or
+// both are zeros, so NaN and +-0 pick exactly what the scalar select does.
 inline vf max(vf a, vf b) { return _mm256_max_ps(a, b); }
 // a*b + c with TWO roundings (see the bitwise contract above).
 inline vf madd(vf a, vf b, vf c) { return _mm256_add_ps(_mm256_mul_ps(a, b), c); }
@@ -80,6 +83,36 @@ inline vf gather(const float* base, const int32_t* idx) {
   return _mm256_i32gather_ps(
       base, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), 4);
 }
+// Loads 2 * kLanes floats and splits them by parity: even[i] = p[2i],
+// odd[i] = p[2i + 1] (the left and right columns of 2-wide windows).
+inline void load_deinterleave(const float* p, vf& even, vf& odd) {
+  const vf a = _mm256_loadu_ps(p);
+  const vf b = _mm256_loadu_ps(p + 8);
+  // Per 128-bit half: [a0 a2 b0 b2 | a4 a6 b4 b6]; the 64-bit permute
+  // then puts the a pairs ahead of the b pairs.
+  const vf e = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0));
+  const vf o = _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1));
+  even = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(e),
+                                                _MM_SHUFFLE(3, 1, 2, 0)));
+  odd = _mm256_castpd_ps(_mm256_permute4x64_pd(_mm256_castps_pd(o),
+                                               _MM_SHUFFLE(3, 1, 2, 0)));
+}
+// Eight double accumulation chains over a row, chain l summing the
+// elements j with j % 8 == l in ascending j (float -> double is exact).
+// add(v, j) takes the kLanes elements starting at j, a multiple of kLanes;
+// store() writes the chains to acc[0..8) for a scalar tail to continue.
+struct Chains8 {
+  __m256d lo = _mm256_setzero_pd();
+  __m256d hi = _mm256_setzero_pd();
+  void add(vf v, int64_t /*j: always a multiple of 8 here*/) {
+    lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+    hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+  }
+  void store(double* acc) const {
+    _mm256_storeu_pd(acc, lo);
+    _mm256_storeu_pd(acc + 4, hi);
+  }
+};
 
 #elif defined(ANTIDOTE_SIMD_NEON)
 
@@ -94,7 +127,9 @@ inline vf zero() { return vdupq_n_f32(0.f); }
 inline vf add(vf a, vf b) { return vaddq_f32(a, b); }
 inline vf sub(vf a, vf b) { return vsubq_f32(a, b); }
 inline vf mul(vf a, vf b) { return vmulq_f32(a, b); }
-inline vf max(vf a, vf b) { return vmaxq_f32(a, b); }
+// a > b ? a : b, as compare-and-select: vmaxq_f32 is IEEE maxNum, which
+// returns NaN for a NaN operand and orders -0 below +0.
+inline vf max(vf a, vf b) { return vbslq_f32(vcgtq_f32(a, b), a, b); }
 // Explicit mul+add (NOT vfmaq/vmlaq, which may fuse): two roundings.
 inline vf madd(vf a, vf b, vf c) { return vaddq_f32(vmulq_f32(a, b), c); }
 inline vf gather(const float* base, const int32_t* idx) {
@@ -102,6 +137,23 @@ inline vf gather(const float* base, const int32_t* idx) {
                       base[idx[3]]};
   return vld1q_f32(v);
 }
+inline void load_deinterleave(const float* p, vf& even, vf& odd) {
+  const float32x4x2_t t = vld2q_f32(p);
+  even = t.val[0];
+  odd = t.val[1];
+}
+struct Chains8 {
+  float64x2_t c[4] = {vdupq_n_f64(0.0), vdupq_n_f64(0.0), vdupq_n_f64(0.0),
+                      vdupq_n_f64(0.0)};
+  void add(vf v, int64_t j) {
+    const int h = (j & 4) != 0 ? 2 : 0;  // chains 0-3 or 4-7
+    c[h] = vaddq_f64(c[h], vcvt_f64_f32(vget_low_f32(v)));
+    c[h + 1] = vaddq_f64(c[h + 1], vcvt_high_f64_f32(v));
+  }
+  void store(double* acc) const {
+    for (int i = 0; i < 4; ++i) vst1q_f64(acc + 2 * i, c[i]);
+  }
+};
 
 #else  // scalar fallback (ANTIDOTE_SIMD=OFF, or an ISA without a backend)
 
@@ -121,6 +173,17 @@ inline vf madd(vf a, vf b, vf c) { return a * b + c; }
 inline vf gather(const float* base, const int32_t* idx) {
   return base[idx[0]];
 }
+inline void load_deinterleave(const float* p, vf& even, vf& odd) {
+  even = p[0];
+  odd = p[1];
+}
+struct Chains8 {
+  double c[8] = {};
+  void add(vf v, int64_t j) { c[j & 7] += v; }
+  void store(double* acc) const {
+    for (int l = 0; l < 8; ++l) acc[l] = c[l];
+  }
+};
 
 #endif
 

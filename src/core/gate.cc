@@ -63,7 +63,7 @@ Tensor AttentionGate::forward_soft(const Tensor& x) {
 }
 
 Tensor AttentionGate::forward(const Tensor& x) {
-  ctx_forward_masked_ = false;
+  masked_in_place_ = false;
   AD_CHECK_EQ(x.ndim(), 4) << " AttentionGate expects NCHW";
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int hw = h * w;
@@ -161,39 +161,40 @@ Tensor AttentionGate::forward(const Tensor& x) {
   return out;
 }
 
-void AttentionGate::compute_attention(const Tensor& x, bool channels,
-                                      bool spatial) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  if (channels) {
-    if (!(last_ch_att_.shape() == Shape{n, c})) {
-      last_ch_att_ = Tensor({n, c});
-    }
-    ops::channel_mean_nchw_into(x, last_ch_att_.data());
+bool AttentionGate::masks_in_place() const {
+  return !is_training() && enabled_ && config_.mode == GateMode::kHardTopK &&
+         (config_.channel_drop > 0.f || config_.spatial_drop > 0.f);
+}
+
+AttentionGate::AttentionOut AttentionGate::attention_out(int n, int c, int h,
+                                                         int w) {
+  AttentionOut out;
+  if (config_.channel_drop > 0.f) {
+    if (!(last_ch_att_.shape() == Shape{n, c})) last_ch_att_ = Tensor({n, c});
+    out.channel = last_ch_att_.data();
   }
-  if (spatial) {
+  if (config_.spatial_drop > 0.f) {
     if (!(last_sp_att_.shape() == Shape{n, h, w})) {
       last_sp_att_ = Tensor({n, h, w});
     }
-    ops::spatial_mean_nchw_into(x, last_sp_att_.data());
+    out.spatial = last_sp_att_.data();
   }
+  return out;
 }
 
-Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
-  if (is_training()) return forward(x);
-  ctx_forward_masked_ = false;
+void AttentionGate::mask_in_place(Tensor& x) {
+  AD_CHECK(masks_in_place()) << " in-place masking needs a masking pass";
   AD_CHECK_EQ(x.ndim(), 4) << " AttentionGate expects NCHW";
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int hw = h * w;
-
   const bool prune_channels = config_.channel_drop > 0.f;
   const bool prune_spatial = config_.spatial_drop > 0.f;
-  if (!enabled_ || (!prune_channels && !prune_spatial)) {
-    stats_ = Stats{};
-    last_masks_.clear();
-    cached_mask_ = Tensor();
-    return x;
-  }
-  if (config_.mode == GateMode::kSoftSigmoid) return forward_soft(x);
+  const bool ch_sized = last_ch_att_.shape() == Shape{n, c};
+  const bool sp_sized = last_sp_att_.shape() == Shape{n, h, w};
+  AD_CHECK(!prune_channels || ch_sized)
+      << " channel attention not written for this map";
+  AD_CHECK(!prune_spatial || sp_sized)
+      << " spatial attention not written for this map";
 
   stats_ = Stats{};
   stats_.samples = n;
@@ -202,12 +203,8 @@ Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
   // resize (not assign) keeps each element's vectors and their capacity;
   // every field is rewritten or cleared below.
   last_masks_.resize(static_cast<size_t>(n));
-
-  compute_attention(x, prune_channels, prune_spatial);
-
-  Tensor out = ctx.alloc(x.shape());
   cached_mask_ = Tensor();  // inference: no backward cache
-  ctx_forward_masked_ = true;
+  masked_in_place_ = true;
 
   for (int b = 0; b < n; ++b) {
     nn::ConvRuntimeMask& sample_mask = last_masks_[static_cast<size_t>(b)];
@@ -226,6 +223,7 @@ Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
       stats_.kept_channels += c;
     }
 
+    dropped_scratch_.clear();
     if (prune_spatial) {
       std::span<const float> att(
           last_sp_att_.data() + static_cast<int64_t>(b) * hw,
@@ -234,31 +232,35 @@ Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
                        select_scratch_, sample_mask.positions);
       stats_.kept_positions +=
           static_cast<int64_t>(sample_mask.positions.size());
-      kept_to_mask_into(sample_mask.positions, hw, keep_scratch_);
+      // The complement of the ascending kept positions.
+      const std::vector<int>& kept_pos = sample_mask.positions;
+      size_t next = 0;
+      for (int j = 0; j < hw; ++j) {
+        if (next < kept_pos.size() && kept_pos[next] == j) {
+          ++next;
+        } else {
+          dropped_scratch_.push_back(j);
+        }
+      }
     } else {
       sample_mask.positions.clear();
       stats_.kept_positions += hw;
     }
 
-    // The masked map in one pass: dropped channel planes are zero-filled,
-    // kept planes copied, through the position mask when one is pruned.
+    // Zero what forward(x) zeroes: every dropped channel plane, and the
+    // dropped positions of the kept ones. Kept values stay where they are.
     // The kept channel list is ascending, so a cursor walks it.
     const std::vector<int>& kept_ch = sample_mask.channels;
     size_t next = 0;
     for (int ch = 0; ch < c; ++ch) {
-      const int64_t at = (static_cast<int64_t>(b) * c + ch) * hw;
-      const float* src = x.data() + at;
-      float* dst = out.data() + at;
+      float* plane = x.data() + (static_cast<int64_t>(b) * c + ch) * hw;
       const bool keep_plane = !prune_channels || (next < kept_ch.size() &&
                                                   kept_ch[next] == ch);
       if (prune_channels && keep_plane) ++next;
       if (!keep_plane) {
-        std::memset(dst, 0, static_cast<size_t>(hw) * sizeof(float));
-      } else if (!prune_spatial) {
-        std::memcpy(dst, src, static_cast<size_t>(hw) * sizeof(float));
+        std::memset(plane, 0, static_cast<size_t>(hw) * sizeof(float));
       } else {
-        for (int j = 0; j < hw; ++j)
-          dst[j] = keep_scratch_[static_cast<size_t>(j)] ? src[j] : 0.f;
+        for (int j : dropped_scratch_) plane[j] = 0.f;
       }
     }
   }
@@ -280,12 +282,11 @@ Tensor AttentionGate::forward(const Tensor& x, nn::ExecutionContext& ctx) {
           std::span<const nn::ConvRuntimeMask>(runtime_scratch_));
     }
   }
-  return out;
 }
 
 Tensor AttentionGate::backward(const Tensor& grad_out) {
-  AD_CHECK(!ctx_forward_masked_)
-      << " backward after a context (inference) AttentionGate forward";
+  AD_CHECK(!masked_in_place_)
+      << " backward after an in-place (inference) AttentionGate pass";
   if (cached_mask_.empty()) return grad_out;  // was identity
   return ops::mul(grad_out, cached_mask_);
 }

@@ -17,6 +17,15 @@
 //     layer *skips* the pruned computation and the FLOPs saving is real.
 //
 // A disabled gate is an exact identity (used to probe dense baselines).
+//
+// The compiled plan runs a masking gate in place (see masks_in_place):
+// the producing conv step's fused epilogue writes the attention means into
+// the gate's attention tensors while it writes the map, and the gate step
+// then only selects, zeroes the dropped planes and positions of the
+// producer's own buffer and hands the keep sets on. Masks, statistics,
+// attention and the map are bitwise those of forward(x). Soft-mode,
+// disabled and zero-ratio gates reach the plan through the nn::Module
+// fallback (the plain forward).
 #pragma once
 
 #include <cstdint>
@@ -56,12 +65,6 @@ class AttentionGate : public nn::Gate {
                 bool spatially_aligned);
 
   Tensor forward(const Tensor& x) override;
-  // Inference hot path: output and attention scratch come from the
-  // context/member buffers (no steady-state allocations), no backward
-  // cache is built, and masks are handed to the consumer by span (copied
-  // into its reusable storage). Results are bitwise identical to the
-  // plain eval forward.
-  Tensor forward(const Tensor& x, nn::ExecutionContext& ctx) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string type_name() const override { return "AttentionGate"; }
 
@@ -80,6 +83,26 @@ class AttentionGate : public nn::Gate {
   // When false, the gate never instructs the consumer to skip computation
   // (mask-only mode; the default true gives the paper's runtime saving).
   void set_forward_to_consumer(bool on) { forward_to_consumer_ = on; }
+
+  // --- in-place masking (the compiled plan's gate step) ---
+  // True when this pass masks in place: eval mode, enabled, hard top-k and
+  // a non-zero drop ratio. Otherwise the plan runs forward(x).
+  bool masks_in_place() const;
+  // Where a fused epilogue writes this pass's attention for an [n, c, h, w]
+  // map: the channel means [n, c] (ops::channel_mean_nchw_into's values)
+  // when channels are pruned and the spatial means [n, h*w]
+  // (ops::spatial_mean_nchw's) when positions are; a half that is not
+  // pruned is null. Sizes the attention tensors, reusing their storage.
+  struct AttentionOut {
+    float* channel = nullptr;
+    float* spatial = nullptr;
+  };
+  AttentionOut attention_out(int n, int c, int h, int w);
+  // Masks the [n, c, h, w] map `x` in place from the attention written
+  // through attention_out this pass: selects each sample's keep sets,
+  // zeroes its dropped planes and the dropped positions of its kept planes
+  // and hands the keep sets to the consumer, allocation-free once warm.
+  void mask_in_place(Tensor& x);
 
   // --- introspection (last forward pass) ---
   struct Stats {
@@ -100,9 +123,6 @@ class AttentionGate : public nn::Gate {
 
  private:
   Tensor forward_soft(const Tensor& x);
-  // (Re)computes the attention tensors the configured pruning needs,
-  // reusing the member tensors' storage when shapes are steady.
-  void compute_attention(const Tensor& x, bool channels, bool spatial);
 
   GateConfig config_;
   nn::Conv2d* consumer_;
@@ -118,12 +138,12 @@ class AttentionGate : public nn::Gate {
   Tensor cached_mask_;  // binary mask of last forward, for backward
 
   // Reusable hot-path scratch (capacity persists across passes).
-  std::vector<int> select_scratch_;
-  std::vector<uint8_t> keep_scratch_;
+  SelectScratch select_scratch_;
+  std::vector<int> dropped_scratch_;  // a sample's dropped positions
   std::vector<nn::ConvRuntimeMask> runtime_scratch_;
-  // True after a context forward that masked: backward must then fail
-  // loudly (an empty cached_mask_ alone also means "was identity").
-  bool ctx_forward_masked_ = false;
+  // True after an in-place masking pass: backward must then fail loudly
+  // (an empty cached_mask_ alone also means "was identity").
+  bool masked_in_place_ = false;
 };
 
 }  // namespace antidote::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "base/error.h"
@@ -31,60 +32,83 @@ int kept_count(int n, float drop_ratio) {
 
 std::vector<int> select_kept(std::span<const float> attention,
                              float drop_ratio, MaskOrder order, Rng& rng) {
-  std::vector<int> scratch, kept;
+  SelectScratch scratch;
+  std::vector<int> kept;
   select_kept_into(attention, drop_ratio, order, rng, scratch, kept);
   return kept;
 }
 
+namespace {
+
+// The ascending scan of select_kept_into: keeps every index whose value
+// ranks strictly ahead of `pivot` (above it for kTop, below it otherwise)
+// plus the first `ties` indices equal to it. Branch-free: `kept` holds n
+// slots and each index is written, then kept or overwritten. Returns the
+// kept count.
+template <bool kTop>
+int scan_kept(std::span<const float> attention, float pivot, int ties,
+              int* kept) {
+  const int n = static_cast<int>(attention.size());
+  int m = 0;
+  for (int i = 0; i < n; ++i) {
+    const float v = attention[static_cast<size_t>(i)];
+    const bool ahead = kTop ? v > pivot : v < pivot;
+    const bool tie = (v == pivot) & (ties > 0);
+    kept[m] = i;
+    m += ahead | tie;
+    ties -= tie;
+  }
+  return m;
+}
+
+}  // namespace
+
 void select_kept_into(std::span<const float> attention, float drop_ratio,
-                      MaskOrder order, Rng& rng, std::vector<int>& scratch,
+                      MaskOrder order, Rng& rng, SelectScratch& scratch,
                       std::vector<int>& kept) {
   const int n = static_cast<int>(attention.size());
   const int k = kept_count(n, drop_ratio);
-  scratch.resize(static_cast<size_t>(n));
-  std::iota(scratch.begin(), scratch.end(), 0);
   if (order == MaskOrder::kRandom) {
     // Same draw as Rng::permutation: shuffle of iota, first k kept.
-    rng.shuffle(scratch);
-    kept.assign(scratch.begin(), scratch.begin() + k);
+    scratch.order.resize(static_cast<size_t>(n));
+    std::iota(scratch.order.begin(), scratch.order.end(), 0);
+    rng.shuffle(scratch.order);
+    kept.assign(scratch.order.begin(), scratch.order.begin() + k);
     std::sort(kept.begin(), kept.end());
     return;
   }
-  // Strict total order: a ranks ahead of b by value (descending for
-  // attention, ascending for inverse), ties to the lower index.
+  // The k-th ranked value. After nth_element every value in [0, k - 1)
+  // ranks no later than it and every value after it no earlier, so the
+  // values ranked strictly ahead of the pivot are exactly the ones in that
+  // prefix, and the remaining k - ahead kept slots go to its ties.
   const bool top = order == MaskOrder::kAttention;
-  const auto ahead = [&](int a, int b) {
-    const float va = attention[static_cast<size_t>(a)];
-    const float vb = attention[static_cast<size_t>(b)];
-    if (va != vb) return top ? va > vb : va < vb;
-    return a < b;
-  };
-  // nth_element puts the k-th ranked index at k - 1. Under a strict total
-  // order exactly k indices do not rank behind it, so marking those in
-  // one ascending scan emits the kept set already sorted.
-  std::nth_element(scratch.begin(), scratch.begin() + (k - 1),
-                   scratch.end(), ahead);
-  const int pivot = scratch[static_cast<size_t>(k - 1)];
-  kept.clear();
-  kept.reserve(static_cast<size_t>(k));
-  for (int i = 0; i < n; ++i) {
-    if (!ahead(pivot, i)) kept.push_back(i);
+  std::vector<float>& v = scratch.values;
+  v.assign(attention.begin(), attention.end());
+  const auto kth = v.begin() + (k - 1);
+  if (top) {
+    std::nth_element(v.begin(), kth, v.end(), std::greater<float>());
+  } else {
+    std::nth_element(v.begin(), kth, v.end());
   }
+  const float pivot = *kth;
+  int ahead = 0;
+  for (auto it = v.begin(); it != kth; ++it) {
+    ahead += top ? *it > pivot : *it < pivot;
+  }
+  kept.resize(static_cast<size_t>(n));
+  const int m = top ? scan_kept<true>(attention, pivot, k - ahead, kept.data())
+                    : scan_kept<false>(attention, pivot, k - ahead,
+                                       kept.data());
+  kept.resize(static_cast<size_t>(m));
 }
 
 std::vector<uint8_t> kept_to_mask(std::span<const int> kept, int n) {
-  std::vector<uint8_t> mask;
-  kept_to_mask_into(kept, n, mask);
-  return mask;
-}
-
-void kept_to_mask_into(std::span<const int> kept, int n,
-                       std::vector<uint8_t>& mask) {
-  mask.assign(static_cast<size_t>(n), 0);
+  std::vector<uint8_t> mask(static_cast<size_t>(n), 0);
   for (int i : kept) {
     AD_CHECK(i >= 0 && i < n) << " kept index " << i;
     mask[static_cast<size_t>(i)] = 1;
   }
+  return mask;
 }
 
 namespace {

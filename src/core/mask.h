@@ -30,18 +30,25 @@ int kept_count(int n, float drop_ratio);
 std::vector<int> select_kept(std::span<const float> attention,
                              float drop_ratio, MaskOrder order, Rng& rng);
 
+// Reusable scratch of select_kept_into.
+struct SelectScratch {
+  std::vector<float> values;  // attention orders: the pivot search's copy
+  std::vector<int> order;     // kRandom: the shuffled indices
+};
+
 // Reusable-buffer variant for the inference hot path: `scratch` and `kept`
 // retain their capacity across calls (zero allocations once warm). Result
-// identical to select_kept.
+// identical to select_kept: value descending for kAttention (ascending for
+// kInverseAttention), ties to the lower index, returned ascending. The
+// k-th ranked value is found with nth_element over a copy of the values;
+// one ascending scan then keeps every value ranked ahead of it plus the
+// lowest-index ties. Values must not be NaN.
 void select_kept_into(std::span<const float> attention, float drop_ratio,
-                      MaskOrder order, Rng& rng, std::vector<int>& scratch,
+                      MaskOrder order, Rng& rng, SelectScratch& scratch,
                       std::vector<int>& kept);
 
 // Expands kept indices into a dense 0/1 mask of length n.
 std::vector<uint8_t> kept_to_mask(std::span<const int> kept, int n);
-// Reusable-buffer variant of kept_to_mask.
-void kept_to_mask_into(std::span<const int> kept, int n,
-                       std::vector<uint8_t>& mask);
 
 // Canonical 64-bit key of a runtime mask's kept sets (FNV-1a over the
 // three index vectors with component separators). Masks with equal kept

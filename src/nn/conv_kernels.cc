@@ -1,8 +1,10 @@
 #include "nn/conv_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "base/error.h"
 #include "base/parallel.h"
@@ -21,10 +23,16 @@ namespace {
 // reference collapse to straight-line vector code. The vector body and
 // the scalar tail evaluate the exact same expression with the same
 // roundings (madd is mul-then-add; see base/simd.h), so the result is
-// bitwise identical to fused_epilogue_scalar.
-template <bool kBn, bool kRes, bool kRelu>
+// bitwise identical to fused_epilogue_scalar. kCh and kSp accumulate the
+// attention sums from the values as written: element j of a row goes into
+// double chain j % 8 (simd::Chains8 for whole vectors, which start at
+// multiples of the lane width, then the tail), and every row is added to
+// the spatial sums in ascending row order.
+template <bool kBn, bool kRes, bool kRelu, bool kCh, bool kSp>
 void epilogue_rows(float* yb, const float* resb, int out_c, int64_t pos,
-                   const FusedEpilogueParams& p) {
+                   const FusedEpilogueParams& p, const EpilogueAttention& a) {
+  constexpr bool kWrites = kBn || kRes || kRelu;
+  if constexpr (kSp) std::fill(a.spatial_mean, a.spatial_mean + pos, 0.f);
   for (int ch = 0; ch < out_c; ++ch) {
     float* row = yb + static_cast<int64_t>(ch) * pos;
     const float* rrow =
@@ -38,6 +46,8 @@ void epilogue_rows(float* yb, const float* resb, int out_c, int64_t pos,
     const simd::vf vgamma = simd::set1(gamma);
     const simd::vf vbeta = simd::set1(beta);
     const simd::vf vzero = simd::zero();
+    float* sp = a.spatial_mean;
+    simd::Chains8 chains;
     int64_t j = 0;
     for (; j + simd::kLanes <= pos; j += simd::kLanes) {
       simd::vf v = simd::load(row + j);
@@ -47,8 +57,12 @@ void epilogue_rows(float* yb, const float* resb, int out_c, int64_t pos,
       }
       if constexpr (kRes) v = simd::add(v, simd::load(rrow + j));
       if constexpr (kRelu) v = simd::max(v, vzero);
-      simd::store(row + j, v);
+      if constexpr (kWrites) simd::store(row + j, v);
+      if constexpr (kCh) chains.add(v, j);
+      if constexpr (kSp) simd::store(sp + j, simd::add(simd::load(sp + j), v));
     }
+    double acc[8] = {};
+    if constexpr (kCh) chains.store(acc);
     for (; j < pos; ++j) {  // ragged tail: the identical scalar expression
       float v = row[j];
       if constexpr (kBn) {
@@ -58,29 +72,60 @@ void epilogue_rows(float* yb, const float* resb, int out_c, int64_t pos,
       if constexpr (kRes) v += rrow[j];
       if constexpr (kRelu) v = v > 0.f ? v : 0.f;
       row[j] = v;
+      if constexpr (kCh) acc[j & 7] += v;
+      if constexpr (kSp) sp[j] += v;
+    }
+    if constexpr (kCh) {
+      const double sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+      a.channel_mean[ch] =
+          static_cast<float>(sum / static_cast<double>(pos));
     }
   }
+  if constexpr (kSp) {
+    const float inv = 1.f / static_cast<float>(out_c);
+    const simd::vf vinv = simd::set1(inv);
+    float* sp = a.spatial_mean;
+    int64_t j = 0;
+    for (; j + simd::kLanes <= pos; j += simd::kLanes) {
+      simd::store(sp + j, simd::mul(simd::load(sp + j), vinv));
+    }
+    for (; j < pos; ++j) sp[j] *= inv;
+  }
 }
+
+using EpilogueFn = void (*)(float*, const float*, int, int64_t,
+                            const FusedEpilogueParams&,
+                            const EpilogueAttention&);
+
+// Variant i: bit 4 = bn, 3 = residual, 2 = relu, 1 = channel sums,
+// 0 = spatial sums.
+template <size_t... I>
+constexpr std::array<EpilogueFn, sizeof...(I)> epilogue_table(
+    std::index_sequence<I...>) {
+  return {&epilogue_rows<(I & 16) != 0, (I & 8) != 0, (I & 4) != 0,
+                         (I & 2) != 0, (I & 1) != 0>...};
+}
+constexpr auto kEpilogues = epilogue_table(std::make_index_sequence<32>());
 
 }  // namespace
 
 void fused_epilogue(float* yb, const float* resb, int out_c, int64_t pos,
-                    const FusedEpilogueParams& p) {
-  switch ((p.bn ? 4 : 0) | (resb != nullptr ? 2 : 0) | (p.relu ? 1 : 0)) {
-    case 7: epilogue_rows<true, true, true>(yb, resb, out_c, pos, p); break;
-    case 6: epilogue_rows<true, true, false>(yb, resb, out_c, pos, p); break;
-    case 5: epilogue_rows<true, false, true>(yb, resb, out_c, pos, p); break;
-    case 4: epilogue_rows<true, false, false>(yb, resb, out_c, pos, p); break;
-    case 3: epilogue_rows<false, true, true>(yb, resb, out_c, pos, p); break;
-    case 2: epilogue_rows<false, true, false>(yb, resb, out_c, pos, p); break;
-    case 1: epilogue_rows<false, false, true>(yb, resb, out_c, pos, p); break;
-    default: break;  // nothing fused: no-op
-  }
+                    const FusedEpilogueParams& p, const EpilogueAttention& a) {
+  const size_t variant = (p.bn ? 16 : 0) | (resb != nullptr ? 8 : 0) |
+                         (p.relu ? 4 : 0) |
+                         (a.channel_mean != nullptr ? 2 : 0) |
+                         (a.spatial_mean != nullptr ? 1 : 0);
+  if (variant != 0) kEpilogues[variant](yb, resb, out_c, pos, p, a);
 }
 
 ANTIDOTE_NO_VECTORIZE
 void fused_epilogue_scalar(float* yb, const float* resb, int out_c,
-                           int64_t pos, const FusedEpilogueParams& p) {
+                           int64_t pos, const FusedEpilogueParams& p,
+                           const EpilogueAttention& a) {
+  if (a.spatial_mean != nullptr) {
+    for (int64_t j = 0; j < pos; ++j) a.spatial_mean[j] = 0.f;
+  }
   for (int ch = 0; ch < out_c; ++ch) {
     float* row = yb + static_cast<int64_t>(ch) * pos;
     const float* rrow =
@@ -89,6 +134,7 @@ void fused_epilogue_scalar(float* yb, const float* resb, int out_c,
     const float inv_std = p.bn ? p.inv_std[ch] : 0.f;
     const float gamma = p.bn ? p.gamma[ch] : 0.f;
     const float beta = p.bn ? p.beta[ch] : 0.f;
+    double acc[8] = {};
     for (int64_t j = 0; j < pos; ++j) {
       float v = row[j];
       if (p.bn) {
@@ -98,7 +144,19 @@ void fused_epilogue_scalar(float* yb, const float* resb, int out_c,
       if (rrow != nullptr) v += rrow[j];
       if (p.relu) v = v > 0.f ? v : 0.f;
       row[j] = v;
+      acc[j & 7] += v;
+      if (a.spatial_mean != nullptr) a.spatial_mean[j] += v;
     }
+    if (a.channel_mean != nullptr) {
+      const double sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) +
+                         ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+      a.channel_mean[ch] =
+          static_cast<float>(sum / static_cast<double>(pos));
+    }
+  }
+  if (a.spatial_mean != nullptr) {
+    const float inv = 1.f / static_cast<float>(out_c);
+    for (int64_t j = 0; j < pos; ++j) a.spatial_mean[j] *= inv;
   }
 }
 
@@ -663,9 +721,10 @@ void gather_add_row(const float* src, const int* idx, int64_t n, float* dst) {
 // the output planes through the inverse table inv[offset][e] (the kept
 // column feeding output e, or the +0.0 slot). Per output element that is
 // conv_sample_masked's sequence of scatter additions, plus exact +0.0
-// additions for offsets with no feeder: the caller zero-fills y with +0.0
-// and a sum that starts at +0.0 never becomes -0.0, so adding +0.0
-// changes no bit. Tiles own disjoint output rows, so they run in parallel.
+// additions for offsets with no feeder: the members' outputs are first
+// zero-filled with +0.0, and a sum that starts at +0.0 never becomes -0.0,
+// so adding +0.0 changes no bit. Tiles own disjoint output rows, so they
+// run in parallel.
 int64_t conv_group_spatial(const float* x_base, int64_t in_floats,
                            const ConvGeom& g, const float* w,
                            const float* bias, std::span<const int> ch,
@@ -701,6 +760,20 @@ int64_t conv_group_spatial(const float* x_base, int64_t in_floats,
            static_cast<int64_t>(samples[static_cast<size_t>(s)]) * out_floats +
            static_cast<int64_t>(oc) * pos;
   };
+  {
+    // The tiles add into the kept filters' planes and never touch the
+    // dropped ones, so every member's output starts at +0.
+    obs::PhaseScope span(obs::Phase::kScatter);
+    parallel_for(
+        0, gs,
+        [&](int64_t s0, int64_t s1) {
+          for (int64_t s = s0; s < s1; ++s) {
+            std::memset(out_plane(static_cast<int>(s), 0), 0,
+                        static_cast<size_t>(out_floats) * sizeof(float));
+          }
+        },
+        /*grain=*/1);
+  }
   {
     obs::PhaseScope span(obs::Phase::kGather);
     // B[ci][s * seg + j] = x_s[ch[ci], positions[j]], then the member's
@@ -803,7 +876,8 @@ int64_t conv_group_spatial(const float* x_base, int64_t in_floats,
 // place), in int8 every member's kept planes quantized once at one scale,
 // then per tile of output positions lower -> (i)gemm -> store. Members sit
 // side by side as column slices of one operand, so the whole group is ONE
-// compacted GEMM per tile.
+// compacted GEMM per tile. The stores write every kept filter's row; the
+// dropped filters' rows are zero-filled.
 int64_t conv_group_channels(const float* x_base, int64_t in_floats,
                             const ConvGeom& g, const float* w,
                             const Int8ConvWeights* qw, int out_c,
@@ -871,6 +945,28 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
     qcols = ws.alloc<uint8_t>(p4 * ldt);
   }
   float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
+  if (ok < out_c) {
+    // The scatter stores only the kept filters' rows; zero the dropped
+    // ones (oc_set is ascending, so a cursor walks it).
+    obs::PhaseScope span(obs::Phase::kScatter);
+    parallel_for(
+        0, gs,
+        [&](int64_t s0, int64_t s1) {
+          for (int64_t s = s0; s < s1; ++s) {
+            float* yb = member_y(s);
+            size_t next = 0;
+            for (int oc = 0; oc < out_c; ++oc) {
+              if (next < oc_set.size() && oc_set[next] == oc) {
+                ++next;
+                continue;
+              }
+              std::memset(yb + static_cast<int64_t>(oc) * pos, 0,
+                          static_cast<size_t>(pos) * sizeof(float));
+            }
+          }
+        },
+        /*grain=*/1);
+  }
   // Plane i of the group is kept channel i % ck of member i / ck.
   const float sa =
       qw == nullptr

@@ -71,13 +71,32 @@ struct FusedEpilogueParams {
   bool relu = false;
 };
 
+// The attention a downstream gate reads, accumulated by the epilogue from
+// the values it writes (one sample; either pointer may be null):
+//   - channel_mean[out_c]: each row's mean as ops::channel_mean_nchw_into
+//     computes it — element j into double chain j % 8, the chains combined
+//     in its fixed tree, divided by pos;
+//   - spatial_mean[pos]: each position's mean over the rows as
+//     ops::spatial_mean_nchw computes it — rows added in ascending
+//     order starting from +0, then scaled by 1/out_c.
+// So a gate fed by the epilogue sees the attention values bit for bit,
+// without a second pass over the map.
+struct EpilogueAttention {
+  float* channel_mean = nullptr;
+  float* spatial_mean = nullptr;
+};
+
 // Applies the epilogue in place over yb [out_c, pos]; `resb` (nullable)
-// is the residual with the same layout. A no-op combination (no bn, no
-// residual, no relu) returns immediately.
+// is the residual with the same layout. With attention sums requested the
+// pass runs even when nothing is fused (it then only reads yb); with
+// neither, a no-op combination (no bn, no residual, no relu) returns
+// immediately.
 void fused_epilogue(float* yb, const float* resb, int out_c, int64_t pos,
-                    const FusedEpilogueParams& p);
+                    const FusedEpilogueParams& p,
+                    const EpilogueAttention& att = {});
 void fused_epilogue_scalar(float* yb, const float* resb, int out_c,
-                           int64_t pos, const FusedEpilogueParams& p);
+                           int64_t pos, const FusedEpilogueParams& p,
+                           const EpilogueAttention& att = {});
 
 // Mask gather: out[j] = plane[idx[j]] for `n` kept positions.
 void gather_positions(const float* plane, const int* idx, int64_t n,
@@ -268,11 +287,14 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
 // a dense step is one call per sample with an empty (keep-all) mask.
 // `samples` are the member batch indices (all sharing kept sets `m`).
 // Bias semantics match conv_sample_masked; the caller applies any fused
-// epilogue afterwards. The caller zero-fills y beforehand unless the group
-// keeps every filter and has no spatial positions (the channel path then
-// writes every output element). Returns the MACs executed for the whole
-// group (in int8 the LOGICAL, f32-equivalent count, so cost accounting is
-// regime-comparable).
+// epilogue afterwards. The kernel writes every element of each member's
+// output, whatever the output held before, and zero-fills only what its
+// arithmetic does not write: a spatial group zero-fills its members'
+// outputs before accumulating into them, a group that drops filters
+// zero-fills the dropped filters' rows, and a channel-path group that keeps
+// every filter stores every element. Other samples' outputs are untouched.
+// Returns the MACs executed for the whole group (in int8 the LOGICAL,
+// f32-equivalent count, so cost accounting is regime-comparable).
 //
 // Channel/filter masks (and keep-all) run one pipeline in both regimes;
 // `qw` selects int8 (the plan's quantized weights; nullptr means f32):

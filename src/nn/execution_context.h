@@ -2,10 +2,10 @@
 // hot path.
 //
 // The context path is the compiled plan: models::ConvNet::forward(x, ctx)
-// runs its InferencePlan, which draws every activation, kernel scratch
-// buffer and gate output from this context's arena. Layers have one
-// forward (the plain module walk); the only modules the plan hands the
-// context to are gates, through nn::Module's context overload.
+// runs its InferencePlan, which draws every activation and kernel scratch
+// buffer from this context's arena. Layers have one forward (the plain
+// module walk); the only modules the plan hands the context to are gates
+// without an in-place path, through nn::Module's context overload.
 //
 // Ownership rules (see docs/architecture.md):
 //   - One ExecutionContext per thread that runs forward passes. NEVER

@@ -49,10 +49,11 @@ class Module {
   // forward; the context path is the compiled plan: models::ConvNet
   // overrides this to run it, and the plan's executor calls it only on
   // gate modules. This default, the plain forward, is the gate hook:
-  // gates without an arena path (FbsGate, ChannelStatsGate) reach the plan
-  // through it, while core::AttentionGate overrides it to write its masked
-  // map into the arena. Returned tensors may borrow the context's arena
-  // and are then invalidated by its next begin_pass().
+  // gates without an in-place path (FbsGate, ChannelStatsGate, and a
+  // core::AttentionGate in soft mode, disabled or at zero ratios) reach
+  // the plan through it; a masking AttentionGate is run in place by the
+  // plan instead. Returned tensors may borrow the context's arena and are
+  // then invalidated by its next begin_pass().
   virtual Tensor forward(const Tensor& x, ExecutionContext& ctx) {
     (void)ctx;
     return forward(x);

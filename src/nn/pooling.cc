@@ -3,12 +3,14 @@
 #include <limits>
 
 #include "base/error.h"
+#include "base/simd.h"
 #include "tensor/ops.h"
 
 namespace antidote::nn {
 
-void max_pool_forward_into(const float* x, int n, int c, int h, int w, int k,
-                           int stride, float* y) {
+ANTIDOTE_NO_VECTORIZE
+void max_pool_forward_into_scalar(const float* x, int n, int c, int h, int w,
+                                  int k, int stride, float* y) {
   const int oh = (h - k) / stride + 1;
   const int ow = (w - k) / stride + 1;
   int64_t out_idx = 0;
@@ -31,6 +33,58 @@ void max_pool_forward_into(const float* x, int n, int c, int h, int w, int k,
       }
     }
   }
+}
+
+namespace {
+
+// The 2x2/stride-2 pool at SIMD width: kLanes outputs of a row at a time,
+// from 2 * kLanes inputs of each of its two input rows split into the
+// windows' left and right columns. The window order and the comparison
+// are the loop's — best = v > best ? v : best from -inf over (0,0),
+// (0,1), (1,0), (1,1), which simd::max(v, best) is — so NaN and +-0
+// resolve as they do there; the ragged tail runs the loop's expression.
+void max_pool_2x2(const float* x, int planes, int h, int w, float* y) {
+  const int oh = h / 2, ow = w / 2;
+  const float ninf = -std::numeric_limits<float>::infinity();
+  const simd::vf vninf = simd::set1(ninf);
+  for (int64_t p = 0; p < planes; ++p) {
+    const float* plane = x + p * h * w;
+    for (int oy = 0; oy < oh; ++oy) {
+      const float* r0 = plane + static_cast<int64_t>(2 * oy) * w;
+      const float* r1 = r0 + w;
+      float* out = y + (p * oh + oy) * ow;
+      int ox = 0;
+      for (; ox + simd::kLanes <= ow; ox += simd::kLanes) {
+        simd::vf l0, rt0, l1, rt1;
+        simd::load_deinterleave(r0 + 2 * ox, l0, rt0);
+        simd::load_deinterleave(r1 + 2 * ox, l1, rt1);
+        simd::vf best = simd::max(l0, vninf);
+        best = simd::max(rt0, best);
+        best = simd::max(l1, best);
+        best = simd::max(rt1, best);
+        simd::store(out + ox, best);
+      }
+      for (; ox < ow; ++ox) {
+        float best = ninf;
+        for (const float v : {r0[2 * ox], r0[2 * ox + 1], r1[2 * ox],
+                              r1[2 * ox + 1]}) {
+          if (v > best) best = v;
+        }
+        out[ox] = best;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void max_pool_forward_into(const float* x, int n, int c, int h, int w, int k,
+                           int stride, float* y) {
+  if (simd::kLanes > 1 && k == 2 && stride == 2) {
+    max_pool_2x2(x, n * c, h, w, y);
+    return;
+  }
+  max_pool_forward_into_scalar(x, n, c, h, w, k, stride, y);
 }
 
 MaxPool2d::MaxPool2d(int kernel_size, int stride)

@@ -9,9 +9,15 @@ namespace antidote::nn {
 
 // Eval-mode max-pool kernel (no argmax bookkeeping): pools the NCHW
 // input into y, which must hold the pooled output. The InferencePlan
-// executor's pool step; it picks the same maxima MaxPool2d::forward does.
+// executor's pool step; it picks the same maxima MaxPool2d::forward does,
+// bit for bit (NaN and +-0 included). 2x2/stride-2 pools run at SIMD width
+// (base/simd.h); other geometries and the scalar build run the loop,
+// max_pool_forward_into_scalar, which is also the micro-benchmarks'
+// scalar leg.
 void max_pool_forward_into(const float* x, int n, int c, int h, int w, int k,
                            int stride, float* y);
+void max_pool_forward_into_scalar(const float* x, int n, int c, int h, int w,
+                                  int k, int stride, float* y);
 
 class MaxPool2d : public Module {
  public:

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "base/error.h"
+#include "core/gate.h"
 #include "nn/conv_kernels.h"
 #include "tensor/gemm.h"
 
@@ -120,11 +121,13 @@ int PlanBuilder::conv(nn::Conv2d* conv, nn::BatchNorm2d* bn, bool relu,
 int PlanBuilder::gate(nn::Module* gate, int src, const std::string& name,
                       int block, bool spatially_aligned) {
   AD_CHECK(gate != nullptr);
-  // Gate outputs are produced by the gate module itself (from the context
-  // arena), not placed by the planner; the footprint is still accounted.
+  // Gate outputs are not placed by the planner: a gate's output is its
+  // input buffer (masked in place, or passed through) or a tensor its
+  // module returns.
   PlanOp& op =
       append(OpKind::kGate, src, shape_of(src), /*planned=*/false, name);
   op.gate = gate;
+  op.attention = dynamic_cast<core::AttentionGate*>(gate);
   last_gate_output_ = op.output;
   last_gate_block_ = block;
   last_gate_spatial_ = spatially_aligned;
@@ -201,11 +204,32 @@ InferencePlan PlanBuilder::finish() {
   plan_.buffers_[static_cast<size_t>(plan_.output_buffer_)].last_use_op =
       static_cast<int>(plan_.ops_.size());
 
-  // A gate that decides to be an identity (zero ratios, disabled probe)
-  // returns its INPUT tensor, so the gate's output may alias the input
-  // buffer: the input must stay live as long as anything reads the gate's
-  // output. Propagate in reverse op order so gate chains extend all the
-  // way back.
+  // An AttentionGate masks its input in place and gets its attention from
+  // the producing conv's epilogue, so that input must be a conv step's
+  // output that nothing but the gate reads. Link the producer to it.
+  for (size_t i = 0; i < plan_.ops_.size(); ++i) {
+    PlanOp& op = plan_.ops_[i];
+    if (op.kind != OpKind::kGate || op.attention == nullptr) continue;
+    const PlanBuffer& in_buf = plan_.buffers_[static_cast<size_t>(op.input)];
+    AD_CHECK(in_buf.def_op >= 0 &&
+             plan_.ops_[static_cast<size_t>(in_buf.def_op)].kind ==
+                 OpKind::kConv)
+        << " AttentionGate " << op.name
+        << " must read a conv step's output (it masks that buffer in place)";
+    for (size_t j = 0; j < plan_.ops_.size(); ++j) {
+      const PlanOp& other = plan_.ops_[j];
+      AD_CHECK(j == i ||
+               (other.input != op.input && other.residual != op.input))
+          << " AttentionGate " << op.name << " masks its input in place, but "
+          << other.name << " reads that buffer too";
+    }
+    plan_.ops_[static_cast<size_t>(in_buf.def_op)].attention = op.attention;
+  }
+
+  // A gate's output is its INPUT buffer when it masks in place or decides
+  // to be an identity (zero ratios, disabled probe): the input must stay
+  // live as long as anything reads the gate's output. Propagate in reverse
+  // op order so gate chains extend all the way back.
   for (size_t i = plan_.ops_.size(); i-- > 0;) {
     const PlanOp& op = plan_.ops_[i];
     if (op.kind != OpKind::kGate) continue;
@@ -250,28 +274,19 @@ InferencePlan PlanBuilder::finish() {
   }
   plan_.act_floats_ = high_water;
 
-  // --- ahead-of-time footprint + grouped-execution state ---------------
-  // Gate-output accounting feeds arena_bytes(); per-op kernel scratch is
-  // computed there directly from the op geometry (it depends on the batch
-  // size under grouped execution). The plan's shared identity-index
-  // (iota) array, sized at the largest channel count, is built once, so
-  // conv steps never rebuild index sets; weight-panel caches are sized at
-  // reserve() time (dense-only plans never pay them) or lazily on first
-  // pack.
-  plan_.gate_floats_before_op_.assign(plan_.ops_.size(), 0);
-  int64_t gate_floats = 0;
+  // --- grouped-execution state ------------------------------------------
+  // Per-op kernel scratch is computed by arena_bytes() directly from the op
+  // geometry (it depends on the batch size under grouped execution). The
+  // plan's shared identity-index (iota) array, sized at the largest
+  // channel count, is built once, so conv steps never rebuild index sets;
+  // weight-panel caches are sized at reserve() time (dense-only plans
+  // never pay them) or lazily on first pack.
   int64_t max_dim = 0;
-  for (size_t i = 0; i < plan_.ops_.size(); ++i) {
-    PlanOp& op = plan_.ops_[i];
-    plan_.gate_floats_before_op_[i] = gate_floats;
-    if (op.kind == OpKind::kGate) {
-      gate_floats += shape_floats(op.in_shape);
-    } else if (op.kind == OpKind::kConv) {
-      max_dim = std::max<int64_t>(max_dim, op.geom.in_c);
-      max_dim = std::max<int64_t>(max_dim, op.out_shape[0]);
-    }
+  for (const PlanOp& op : plan_.ops_) {
+    if (op.kind != OpKind::kConv) continue;
+    max_dim = std::max<int64_t>(max_dim, op.geom.in_c);
+    max_dim = std::max<int64_t>(max_dim, op.out_shape[0]);
   }
-  plan_.gate_floats_total_ = gate_floats;
   plan_.iota_.resize(static_cast<size_t>(max_dim));
   for (int64_t i = 0; i < max_dim; ++i) {
     plan_.iota_[static_cast<size_t>(i)] = static_cast<int>(i);

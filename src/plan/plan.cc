@@ -11,6 +11,7 @@
 #include "base/error.h"
 #include "base/parallel.h"
 #include "base/timer.h"
+#include "core/gate.h"
 #include "core/mask.h"
 #include "nn/conv_kernels.h"
 #include "obs/trace.h"
@@ -411,24 +412,16 @@ size_t InferencePlan::arena_bytes(int n) const {
           shape_floats(buffers_[static_cast<size_t>(input_buffer_)]
                            .per_sample_shape)) *
       nn * sizeof(float));
-  // Pass footprint: the activation region is one allocation; each gate
-  // output is one allocation (bounded with one alignment pad each); the
-  // kernel scratch of op i sits on top of the gates allocated before it.
-  const size_t act = Workspace::align_up(static_cast<size_t>(act_floats_) * nn *
-                              sizeof(float));
-  size_t peak = act + Workspace::align_up(static_cast<size_t>(gate_floats_total_) * nn *
-                               sizeof(float) +
-                               Workspace::kAlign * ops_.size());
-  for (size_t i = 0; i < ops_.size(); ++i) {
-    const size_t gates = Workspace::align_up(
-        static_cast<size_t>(gate_floats_before_op_[i]) * nn * sizeof(float) +
-        Workspace::kAlign * (i + 1));
-    peak = std::max(peak,
-                    act + gates +
-                        conv_step_scratch_bytes(
-                            ops_[i], n, regime_ == NumericRegime::kInt8));
+  // Pass footprint: the activation region is one allocation, and each
+  // op's kernel scratch sits on top of it between a mark and a rewind.
+  const size_t act = Workspace::align_up(static_cast<size_t>(act_floats_) *
+                                         nn * sizeof(float));
+  size_t scratch = 0;
+  for (const PlanOp& op : ops_) {
+    scratch = std::max(scratch, conv_step_scratch_bytes(
+                                    op, n, regime_ == NumericRegime::kInt8));
   }
-  return input_bytes + peak;
+  return input_bytes + act + scratch;
 }
 
 void InferencePlan::reserve(Workspace& ws, int n) {
@@ -663,31 +656,14 @@ size_t InferencePlan::op_scratch_bytes(int op_index, int n) const {
 }
 
 int InferencePlan::peak_scratch_op(int n, size_t* op_scratch) const {
-  // Mirrors arena_bytes()'s per-op term (activations + gates allocated so
-  // far + the op's kernel scratch) so the answer really is "which op sets
-  // the arena high-water mark", not merely "which op's scratch is biggest"
-  // — a late op with many gates before it can out-peak an earlier op with
-  // larger scratch. Returns -1 when the gate-total term (no op's scratch
-  // on top) is the peak.
-  const size_t nn = static_cast<size_t>(n);
-  const size_t act =
-      Workspace::align_up(static_cast<size_t>(act_floats_) * nn *
-                          sizeof(float));
-  size_t best = act + Workspace::align_up(
-                          static_cast<size_t>(gate_floats_total_) * nn *
-                              sizeof(float) +
-                          Workspace::kAlign * ops_.size());
+  // Every op's scratch sits on the same activation region, so the op with
+  // the largest scratch sets the arena's high-water mark.
   int arg = -1;
   size_t best_scratch = 0;
   for (size_t i = 0; i < ops_.size(); ++i) {
     const size_t scratch = conv_step_scratch_bytes(
         ops_[i], n, regime_ == NumericRegime::kInt8);
-    const size_t gates = Workspace::align_up(
-        static_cast<size_t>(gate_floats_before_op_[i]) * nn * sizeof(float) +
-        Workspace::kAlign * (i + 1));
-    const size_t total = act + gates + scratch;
-    if (total > best) {
-      best = total;
+    if (scratch > best_scratch) {
       arg = static_cast<int>(i);
       best_scratch = scratch;
     }
@@ -841,9 +817,6 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           if (compute_cap_ < 1.0) {
             masks = cap_runtime_masks(op, masks, n);
           }
-          // Arena memory is uninitialized; pruned positions must stay zero.
-          std::memset(out.data(), 0,
-                      static_cast<size_t>(out.size()) * sizeof(float));
           // Bucket the batch by canonical mask key: a drop ratio quantizes
           // the samples into a handful of distinct kept sets, and every
           // bucket executes as ONE compacted multi-sample GEMM instead of
@@ -1166,18 +1139,33 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           op.last_coarsen_pred_before = 0.0;
           op.last_coarsen_pred_after = 0.0;
         }
-        if (op.fuse_bn || op.fuse_relu || res_base != nullptr) {
+        // The gate reading this output, when it masks this pass, gets its
+        // attention from the epilogue, which then runs even with nothing
+        // fused.
+        core::AttentionGate::AttentionOut att;
+        if (op.attention != nullptr && op.attention->masks_in_place()) {
+          att = op.attention->attention_out(n, out_c, g.out_h(), g.out_w());
+        }
+        if (op.fuse_bn || op.fuse_relu || res_base != nullptr ||
+            att.channel != nullptr || att.spatial != nullptr) {
           const nn::FusedEpilogueParams ep = epilogue_params(op);
           obs::PhaseScope epilogue_span(obs::Phase::kEpilogue, op_index);
           parallel_for(
               0, n,
               [&](int64_t b0, int64_t b1) {
                 for (int64_t b = b0; b < b1; ++b) {
+                  nn::EpilogueAttention sums;
+                  if (att.channel != nullptr) {
+                    sums.channel_mean = att.channel + b * out_c;
+                  }
+                  if (att.spatial != nullptr) {
+                    sums.spatial_mean = att.spatial + b * pos;
+                  }
                   nn::fused_epilogue(out.data() + b * out_floats,
                                      res_base != nullptr
                                          ? res_base + b * out_floats
                                          : nullptr,
-                                     out_c, pos, ep);
+                                     out_c, pos, ep, sums);
                 }
               },
               /*grain=*/1);
@@ -1188,11 +1176,18 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
         break;
       }
       case OpKind::kGate: {
-        // The gate module runs itself (identical to the module walk, so
-        // masks and outputs match bitwise) and hands keep sets to its
-        // consumer Conv2d, whose fused step picks them up next.
-        slots_[static_cast<size_t>(op.output)] =
-            op.gate->forward(in, ctx);
+        // Either way the gate hands keep sets to its consumer Conv2d, whose
+        // fused step picks them up next, and masks and map match the
+        // module walk bitwise. A masking AttentionGate zeroes the producer's
+        // buffer in place from the attention its epilogue wrote; any other
+        // gate runs its module forward.
+        Tensor& map = slots_[static_cast<size_t>(op.input)];
+        if (op.attention != nullptr && op.attention->masks_in_place()) {
+          op.attention->mask_in_place(map);
+          slots_[static_cast<size_t>(op.output)] = map;
+        } else {
+          slots_[static_cast<size_t>(op.output)] = op.gate->forward(map, ctx);
+        }
         break;
       }
       case OpKind::kMaxPool: {

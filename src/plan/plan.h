@@ -21,13 +21,19 @@
 //     weights, and keep bit-equality as a hard invariant).
 //   - every inter-op activation pre-assigned an offset in a per-pass arena
 //     region via buffer lifetime analysis, and the whole pass footprint
-//     (activations + gate outputs + the worst-case kernel scratch,
-//     including the packed-GEMM panels) computed ahead of time, so an
-//     executor can reserve the exact arena before the FIRST forward and
-//     never grow or heap-allocate mid-pass.
+//     (activations + the worst-case kernel scratch, including the
+//     packed-GEMM panels) computed ahead of time, so an executor can
+//     reserve the exact arena before the FIRST forward and never grow or
+//     heap-allocate mid-pass.
 //   - the per-sample ConvRuntimeMask stream flowing through unchanged:
 //     gate steps run the installed gate modules, which hand keep sets to
-//     their consumer Conv2d; the consumer's fused step picks them up.
+//     their consumer Conv2d; the consumer's fused step picks them up. A
+//     core::AttentionGate that masks this pass makes no pass of its own
+//     over its map: its producer conv's fused epilogue writes the
+//     attention means while it writes the map, and the gate step only
+//     selects and zeroes the dropped planes and positions in the
+//     producer's own buffer (the builder guarantees the gate is that
+//     buffer's sole reader), so the gate allocates nothing.
 //   - masked conv steps executed BATCH-GRANULAR and MASK-GROUPED: a drop
 //     ratio quantizes a batch into a small number of distinct kept sets,
 //     so the executor buckets samples by canonical mask key
@@ -70,6 +76,10 @@
 #include "tensor/im2col.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
+
+namespace antidote::core {
+class AttentionGate;
+}  // namespace antidote::core
 
 namespace antidote::plan {
 
@@ -313,6 +323,11 @@ struct PlanOp {
 
   // kGate
   nn::Module* gate = nullptr;
+  // kGate: `gate` as a core::AttentionGate (null for other gate modules);
+  // the step masks its input in place on passes where the gate masks.
+  // kConv: the AttentionGate that is the sole reader of this step's
+  // output; on those passes the fused epilogue writes the gate's attention.
+  core::AttentionGate* attention = nullptr;
 
   // kMaxPool
   int pool_k = 0;
@@ -406,7 +421,9 @@ struct PlanOp {
 // One inter-op activation. Planned buffers live at a fixed per-sample
 // float offset inside the pass's activation region (scaled by the batch
 // size at run time); unplanned buffers (the network input, gate outputs)
-// are carried as tensors produced elsewhere.
+// are carried as tensors produced elsewhere — a gate's output is its
+// input buffer (in-place masking, or an identity gate) or a tensor its
+// module returned.
 struct PlanBuffer {
   Shape per_sample_shape;
   int64_t per_sample_floats = 0;  // rounded up to the arena alignment
@@ -458,7 +475,7 @@ class InferencePlan {
   Tensor run(const Tensor& x, nn::ExecutionContext& ctx);
 
   // Exact bytes one pass of batch size `n` draws from the arena:
-  // activation region + gate outputs + worst-case kernel scratch
+  // activation region + worst-case kernel scratch
   // (including the cross-group per-worker slice region, which scales with
   // the process's fixed thread budget — ANTIDOTE_THREADS — capped at
   // kMaxGroupWorkers). Known before the first forward ever runs.
@@ -589,13 +606,6 @@ class InferencePlan {
   std::span<const nn::ConvRuntimeMask> cap_runtime_masks(
       PlanOp& op, std::span<const nn::ConvRuntimeMask> masks, int n);
   int64_t act_floats_ = 0;  // per-sample high water of planned offsets
-
-  // Per-sample float count of every gate output allocated before each op
-  // runs, in op order — with the per-op kernel scratch formulas (exact in
-  // the batch size; see conv_step_scratch_bytes in plan.cc) this
-  // reproduces the pass's allocation sequence for arena_bytes().
-  std::vector<int64_t> gate_floats_before_op_;
-  int64_t gate_floats_total_ = 0;
 
   // Reused across runs (sized at compile time, no per-pass allocation).
   std::vector<Tensor> slots_;

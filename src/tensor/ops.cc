@@ -162,13 +162,14 @@ Tensor channel_mean_nchw(const Tensor& x) {
   return out;
 }
 
-void spatial_mean_nchw_into(const Tensor& x, float* out) {
+Tensor spatial_mean_nchw(const Tensor& x) {
   AD_CHECK_EQ(x.ndim(), 4) << " spatial_mean_nchw expects NCHW";
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int64_t hw = static_cast<int64_t>(h) * w;
+  Tensor out({n, h, w});
   const float* px = x.data();
   for (int b = 0; b < n; ++b) {
-    float* out_plane = out + static_cast<int64_t>(b) * hw;
+    float* out_plane = out.data() + static_cast<int64_t>(b) * hw;
     for (int64_t j = 0; j < hw; ++j) out_plane[j] = 0.f;
     for (int ch = 0; ch < c; ++ch) {
       const float* plane = px + (static_cast<int64_t>(b) * c + ch) * hw;
@@ -177,12 +178,6 @@ void spatial_mean_nchw_into(const Tensor& x, float* out) {
     const float inv = 1.f / static_cast<float>(c);
     for (int64_t j = 0; j < hw; ++j) out_plane[j] *= inv;
   }
-}
-
-Tensor spatial_mean_nchw(const Tensor& x) {
-  AD_CHECK_EQ(x.ndim(), 4) << " spatial_mean_nchw expects NCHW";
-  Tensor out({x.dim(0), x.dim(2), x.dim(3)});
-  spatial_mean_nchw_into(x, out.data());
   return out;
 }
 

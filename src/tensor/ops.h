@@ -43,10 +43,9 @@ Tensor channel_mean_nchw(const Tensor& x);
 // Per-location channel mean of an NCHW tensor: output shape [N, H, W].
 // This is exactly the paper's spatial-attention coefficient (Eq. 2).
 Tensor spatial_mean_nchw(const Tensor& x);
-// Allocation-free variants writing into caller storage ([N*C] resp.
-// [N*H*W] floats) for the inference hot path.
+// Allocation-free variant of channel_mean_nchw writing into caller
+// storage ([N*C] floats), for the plan's global-average-pool step.
 void channel_mean_nchw_into(const Tensor& x, float* out);
-void spatial_mean_nchw_into(const Tensor& x, float* out);
 
 // --- selection ---
 // Index of the maximum in each row of a [N, K] tensor (ties -> lowest idx).

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -569,6 +570,70 @@ TEST(CoarsenKernel, FusedSpatialOneByOneConvMatchesPerSampleKernelBitwise) {
 }
 
 // --- WeightPanelCache union-mask keying -----------------------------------
+
+// --- the group kernel's zero-fill contract ---------------------------------
+
+TEST(CoarsenKernel, GroupWritesEveryMemberElementAndNoOtherSample) {
+  // conv_group_masked zero-fills exactly what its arithmetic does not
+  // write, so run into a NaN-filled output every member's output must equal
+  // the reference run into zeros, and every other sample must still be NaN.
+  // The f32 reference is the module walk's per-sample kernel; the int8 one
+  // is the same group into zeros (a group quantizes at one shared scale).
+  KernelRig rig;
+  nn::Int8ConvWeights qw;
+  nn::quantize_conv_weights(rig.w.data(), KernelRig::kOutC, rig.g.in_c,
+                            rig.g.k_h * rig.g.k_w, qw);
+  nn::ConvRuntimeMask keep_all, drop_filters, drop_channels, spatial;
+  drop_filters.out_channels = {0, 2, 5};
+  drop_channels.channels = {0, 1, 3, 6};
+  spatial.positions = some_positions(20, rig.g.in_h * rig.g.in_w, 9);
+  const struct {
+    const char* name;
+    const nn::ConvRuntimeMask* m;
+  } groups[] = {{"keep-all", &keep_all},
+                {"filter-dropping", &drop_filters},
+                {"channel-dropping", &drop_channels},
+                {"spatial", &spatial}};
+  rig.samples = {1, 4, 6};
+  const size_t slot = static_cast<size_t>(rig.out_floats());
+  nn::WeightPanelCache cache;
+  for (const auto& group : groups) {
+    for (const int64_t tile : kKeepAllTiles) {
+      rig.tile = tile;
+      for (const int regime : {0, 1, 2}) {  // f32 cached, f32 slice, int8
+        const auto run = [&](float init) {
+          rig.y_init = init;
+          return regime == 2   ? rig.run_i8(qw, *group.m)
+                 : regime == 1 ? rig.run_f32(*group.m, nullptr)
+                               : rig.run_f32(*group.m, &cache);
+        };
+        const std::vector<float> got =
+            run(std::numeric_limits<float>::quiet_NaN());
+        rig.y_init = 0.f;
+        const std::vector<float> ref =
+            regime == 2 ? run(0.f) : rig.run_reference(*group.m);
+        for (int s = 0; s < KernelRig::kN; ++s) {
+          const bool member = std::find(rig.samples.begin(),
+                                        rig.samples.end(),
+                                        s) != rig.samples.end();
+          const float* g = got.data() + s * slot;
+          if (member) {
+            EXPECT_EQ(std::memcmp(g, ref.data() + s * slot,
+                                  slot * sizeof(float)),
+                      0)
+                << group.name << ", regime " << regime << ", tile " << tile
+                << ", member " << s;
+          } else {
+            EXPECT_TRUE(std::all_of(g, g + slot,
+                                    [](float v) { return std::isnan(v); }))
+                << group.name << ", regime " << regime << ", tile " << tile
+                << ", non-member " << s;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(CoarsenCache, UnionMaskKeysHitAfterFirstPack) {
   const int out_c = 4, in_c = 6, kk = 9;

@@ -12,11 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "base/error.h"
 #include "baselines/fbs_gate.h"
 #include "core/engine.h"
+#include "core/gate.h"
 #include "models/factory.h"
 #include "models/small_cnn.h"
 #include "nn/execution_context.h"
+#include "plan/builder.h"
 #include "plan/plan.h"
 #include "tensor/tensor.h"
 
@@ -83,37 +86,157 @@ TEST(InferencePlan, FusedDenseBitwiseMatchesUnfusedModuleWalk) {
   }
 }
 
+// Gate configurations the plan must reproduce bit for bit. Hard top-k
+// gates that mask run in place (epilogue attention, zeroing in the
+// producer's buffer); soft, disabled and zero-ratio gates run their module
+// forward.
+struct GateVariant {
+  const char* name;
+  core::MaskOrder order = core::MaskOrder::kAttention;
+  core::GateMode mode = core::GateMode::kHardTopK;
+  float channel = 0.4f;
+  float spatial = 0.3f;
+  bool disable_first = false;  // gate 0 disabled, the rest masking
+};
+const GateVariant kGateVariants[] = {
+    {"attention"},
+    {"channel only", core::MaskOrder::kAttention, core::GateMode::kHardTopK,
+     0.5f, 0.f},
+    {"random", core::MaskOrder::kRandom},
+    {"inverse", core::MaskOrder::kInverseAttention},
+    {"soft", core::MaskOrder::kAttention, core::GateMode::kSoftSigmoid},
+    {"disabled gate", core::MaskOrder::kAttention, core::GateMode::kHardTopK,
+     0.4f, 0.3f, true},
+    {"zero ratios", core::MaskOrder::kAttention, core::GateMode::kHardTopK,
+     0.f, 0.f},
+};
+
+void expect_same_gate(const core::AttentionGate& walk,
+                      const core::AttentionGate& plan,
+                      const std::string& where) {
+  const auto& wm = walk.last_masks();
+  const auto& pm = plan.last_masks();
+  ASSERT_EQ(wm.size(), pm.size()) << where;
+  for (size_t i = 0; i < wm.size(); ++i) {
+    EXPECT_EQ(wm[i].channels, pm[i].channels) << where << " sample " << i;
+    EXPECT_EQ(wm[i].positions, pm[i].positions) << where << " sample " << i;
+    EXPECT_EQ(wm[i].out_channels, pm[i].out_channels)
+        << where << " sample " << i;
+  }
+  const auto& ws = walk.last_stats();
+  const auto& ps = plan.last_stats();
+  EXPECT_EQ(ws.samples, ps.samples) << where;
+  EXPECT_EQ(ws.channels, ps.channels) << where;
+  EXPECT_EQ(ws.positions, ps.positions) << where;
+  EXPECT_EQ(ws.kept_channels, ps.kept_channels) << where;
+  EXPECT_EQ(ws.kept_positions, ps.kept_positions) << where;
+  // A half the gate never pruned holds no attention tensor at all.
+  const auto same_attention = [](const Tensor& a, const Tensor& b) {
+    return a.size() == 0 ? a.same_shape(b) : bitwise_equal(a, b);
+  };
+  EXPECT_TRUE(same_attention(walk.last_channel_attention(),
+                             plan.last_channel_attention()))
+      << where << " channel attention";
+  EXPECT_TRUE(same_attention(walk.last_spatial_attention(),
+                             plan.last_spatial_attention()))
+      << where << " spatial attention";
+}
+
 TEST(InferencePlan, MaskedExecutionThroughFusedStepsMatchesModuleWalk) {
+  // Two identically seeded nets: one walks its modules, the other runs the
+  // plan, so kRandom gates draw the same masks on both.
   for (const Case& c : kCases) {
-    auto net = build(c);
-    core::DynamicPruningEngine engine(
-        *net, core::PruneSettings::uniform(net->num_blocks(), 0.4f, 0.3f));
-    Rng rng(5);
-    Tensor x = Tensor::randn({3, 3, c.image, c.image}, rng);
-    // Exact-identity contract below (same masks => same MAC count as
-    // the module walk): pin union coarsening off, which deliberately
-    // executes superset MACs (covered by tests/coarsen_test.cc).
-    net->set_coarsen_policy({plan::CoarsenMode::kOff, 1.0});
+    for (const GateVariant& v : kGateVariants) {
+      auto walk = build(c);
+      auto planned = build(c);
+      core::PruneSettings settings = core::PruneSettings::uniform(
+          walk->num_blocks(), v.channel, v.spatial);
+      settings.order = v.order;
+      settings.mode = v.mode;
+      core::DynamicPruningEngine walk_engine(*walk, settings);
+      core::DynamicPruningEngine plan_engine(*planned, settings);
+      if (v.disable_first) {
+        walk_engine.gate(0)->set_enabled(false);
+        plan_engine.gate(0)->set_enabled(false);
+      }
+      // Exact-identity contract below (same masks => same MAC count as
+      // the module walk): pin union coarsening off, which deliberately
+      // executes superset MACs (covered by tests/coarsen_test.cc).
+      planned->set_coarsen_policy({plan::CoarsenMode::kOff, 1.0});
 
-    const Tensor plain = net->forward(x);
-    const int64_t module_macs = net->last_macs();
+      Rng rng(5);
+      nn::ExecutionContext ctx;
+      for (int pass = 0; pass < 2; ++pass) {
+        const std::string where = std::string(c.model) + " " + v.name +
+                                  " pass " + std::to_string(pass);
+        Tensor x = Tensor::randn({3, 3, c.image, c.image}, rng);
+        const Tensor plain = walk->forward(x);
+        const int64_t module_macs = walk->last_macs();
 
-    nn::ExecutionContext ctx;
-    ctx.begin_pass();
-    const Tensor fused = net->forward(x, ctx);
-    // The exact-epilogue BN fold keeps masked outputs bitwise identical
-    // to the unfused walk.
-    EXPECT_TRUE(bitwise_equal(plain, fused))
-        << c.model << " max |diff| " << max_abs_diff(plain, fused);
+        ctx.begin_pass();
+        const Tensor fused = planned->forward(x, ctx);
+        // The exact-epilogue BN fold keeps masked outputs bitwise
+        // identical to the unfused walk.
+        EXPECT_TRUE(bitwise_equal(plain, fused))
+            << where << " max |diff| " << max_abs_diff(plain, fused);
+        // Dynamic pruning survives fusion: the same masks were executed,
+        // so the measured MACs match the module walk.
+        EXPECT_EQ(planned->last_macs(), module_macs) << where;
+        for (size_t g = 0; g < walk_engine.gates().size(); ++g) {
+          expect_same_gate(*walk_engine.gates()[g], *plan_engine.gates()[g],
+                           where + " gate " + std::to_string(g));
+        }
+      }
+      const plan::InferencePlan* plan = planned->current_plan();
+      ASSERT_NE(plan, nullptr);
+      if (v.mode == core::GateMode::kHardTopK && v.channel > 0.f &&
+          !v.disable_first) {
+        EXPECT_LT(planned->last_macs(), plan->dense_macs_per_sample() * 3)
+            << c.model << " " << v.name;
+      }
+      walk_engine.remove();
+      plan_engine.remove();
+    }
+  }
+}
 
-    // Dynamic pruning survives fusion: the same masks were executed, so
-    // the measured MACs match the module walk and stay below dense.
-    EXPECT_EQ(net->last_macs(), module_macs) << c.model;
-    const plan::InferencePlan* plan = net->current_plan();
-    ASSERT_NE(plan, nullptr);
-    EXPECT_LT(net->last_macs(), plan->dense_macs_per_sample() * 3)
-        << c.model;
-    engine.remove();
+TEST(InferencePlan, AttentionGateMustBeItsConvInputsSoleReader) {
+  // An AttentionGate masks its input in place with attention from the
+  // producing conv's epilogue, so finish() rejects any other reader of
+  // that buffer, and an input no conv step produced.
+  nn::Conv2d conv0(3, 4, 3, 1, 1), conv1(4, 4, 3, 1, 1);
+  nn::MaxPool2d pool(2);
+  core::AttentionGate gate({.channel_drop = 0.5f}, &conv1, false);
+  {
+    plan::PlanBuilder b({3, 8, 8});
+    const int t = b.conv(&conv0, nullptr, true, b.input(), -1, "conv0");
+    b.conv(&conv1, nullptr, true, b.gate(&gate, t, "conv0.gate", 0, false),
+           -1, "conv1");
+    b.max_pool(&pool, t, "side");  // a second reader of the gate's input
+    EXPECT_THROW(b.finish(), Error);
+  }
+  {
+    plan::PlanBuilder b({4, 8, 8});
+    const int t = b.conv(&conv1, nullptr, true, b.input(), -1, "conv1");
+    const int g = b.gate(&gate, t, "conv1.gate", 0, false);
+    // A residual read counts too.
+    b.conv(&conv1, nullptr, true, g, /*residual=*/t, "conv2");
+    EXPECT_THROW(b.finish(), Error);
+  }
+  {
+    plan::PlanBuilder b({4, 8, 8});
+    b.conv(&conv1, nullptr, true, b.gate(&gate, b.input(), "in.gate", 0, false),
+           -1, "conv1");
+    EXPECT_THROW(b.finish(), Error);  // the network input is no conv output
+  }
+  {
+    plan::PlanBuilder b({3, 8, 8});
+    const int t = b.conv(&conv0, nullptr, true, b.input(), -1, "conv0");
+    b.conv(&conv1, nullptr, true, b.gate(&gate, t, "conv0.gate", 0, false),
+           -1, "conv1");
+    const plan::InferencePlan plan = b.finish();
+    EXPECT_EQ(plan.ops()[0].attention, &gate);  // the producer feeds it
+    EXPECT_EQ(plan.ops()[1].attention, &gate);
   }
 }
 

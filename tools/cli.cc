@@ -709,8 +709,8 @@ int cmd_plan_dump(const std::vector<std::string>& args) {
   std::printf("arena bytes: %zu @ batch 1, %zu @ batch %d\n",
               plan.arena_bytes(1), plan.arena_bytes(batch), batch);
   // Per-op kernel scratch and the arena's high-water op: which step's
-  // worst-case scratch (on top of the activations and the gate outputs
-  // live before it) actually sets the reserved footprint.
+  // worst-case scratch (on top of the activations) actually sets the
+  // reserved footprint.
   std::printf("per-op kernel scratch @ batch %d:\n", batch);
   size_t peak_scratch = 0;
   const int peak_op = plan.peak_scratch_op(batch, &peak_scratch);
@@ -725,7 +725,7 @@ int cmd_plan_dump(const std::vector<std::string>& args) {
                 static_cast<int>(i) == peak_op ? "  <- arena peak" : "");
   }
   if (peak_op < 0) {
-    std::printf("  arena peak set by activations + gate outputs "
+    std::printf("  arena peak set by activations "
                 "(no kernel scratch on top)\n");
   }
   if (!profile) return 0;
