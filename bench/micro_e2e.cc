@@ -447,8 +447,6 @@ struct GroupedReport {
   int distinct = 4;
   int observed_groups = 0;
   double max_abs_diff = 0.0;
-  int64_t pack_hits = 0;
-  int64_t pack_misses = 0;
   double per_sample_ms = 0.0;  // masked module walk
   double grouped_ms = 0.0;     // masked mask-grouped plan
   bool pass = false;
@@ -509,20 +507,16 @@ GroupedReport verify_grouped(const std::string& model_name, int distinct) {
   }
   r.per_sample_ms = per_sample_total / reps;
   r.grouped_ms = grouped_total / reps;
-  r.pack_hits = plan.pack_cache_hits();
-  r.pack_misses = plan.pack_cache_misses();
 
   r.pass = r.max_abs_diff <= 1e-5 && r.observed_groups >= 1 &&
            r.observed_groups <= r.distinct;
   std::printf(
       "grouped %-8s: batch %d, %d distinct masks -> %d groups, |diff| "
-      "%.2e, per-sample %.3f ms vs grouped %.3f ms (%.2fx), pack cache "
-      "%lld/%lld hit/miss%s\n",
+      "%.2e, per-sample %.3f ms vs grouped %.3f ms (%.2fx)%s\n",
       r.model.c_str(), r.batch, r.distinct, r.observed_groups,
       r.max_abs_diff, r.per_sample_ms, r.grouped_ms,
       r.grouped_ms > 0 ? r.per_sample_ms / r.grouped_ms : 0.0,
-      static_cast<long long>(r.pack_hits),
-      static_cast<long long>(r.pack_misses), r.pass ? "" : "  <-- FAIL");
+      r.pass ? "" : "  <-- FAIL");
   engine.remove();
   return r;
 }
@@ -604,11 +598,11 @@ MaskUnionReport verify_mask_union() {
 
   // Timed in separate blocks (not interleaved): the two policies carry
   // different weight-panel working sets, and alternating them would
-  // thrash the pack cache in a way neither production path sees.
+  // thrash the CPU caches in a way neither production path sees.
   const int reps = 10;
   auto time_policy = [&](plan::CoarsenMode mode, const Tensor& in) {
     net->set_coarsen_policy({mode, 1.0});
-    for (int i = 0; i < 3; ++i) run_plan(in);  // warm packs + arena
+    for (int i = 0; i < 3; ++i) run_plan(in);  // warm-up passes
     const int64_t grows = ctx.workspace().grow_count();
     double total = 0.0;
     for (int i = 0; i < reps; ++i) {
@@ -813,12 +807,11 @@ Int8MaskedReport verify_int8_grouped(int distinct) {
   r.f32_ms = f32_timer.millis() / reps;
 
   // Regime switch mid-flight: the same plan re-reserves for the int8
-  // scratch (quantized column panels) and re-prepares the pack caches
-  // with int8 ways; the steady state after that must be as allocation-
-  // free as f32's.
+  // scratch (quantized column panels and int8 weight panels); the steady
+  // state after that must be as allocation-free as f32's.
   net->set_numeric_regime(plan::NumericRegime::kInt8);
   plan.reserve(ctx.workspace(), r.batch);
-  for (int i = 0; i < 3; ++i) run_plan();  // warm int8 panels
+  for (int i = 0; i < 3; ++i) run_plan();  // warm-up passes
   const Tensor q_logits = run_plan();
   double max_ref = 0.0;
   for (int64_t i = 0; i < q_logits.size(); ++i) {
@@ -1527,14 +1520,11 @@ bool run_plan_verification(const char* json_path) {
           "    {\"model\": \"%s\", \"batch\": %d, \"distinct_masks\": %d, "
           "\"observed_groups\": %d, \"max_abs_diff\": %.3e, "
           "\"per_sample_masked_ms\": %.4f, \"grouped_masked_ms\": %.4f, "
-          "\"speedup\": %.3f, \"pack_cache_hits\": %lld, "
-          "\"pack_cache_misses\": %lld, \"pass\": %s}%s\n",
+          "\"speedup\": %.3f, \"pass\": %s}%s\n",
           r.model.c_str(), r.batch, r.distinct, r.observed_groups,
           r.max_abs_diff, r.per_sample_ms, r.grouped_ms,
           r.grouped_ms > 0 ? r.per_sample_ms / r.grouped_ms : 0.0,
-          static_cast<long long>(r.pack_hits),
-          static_cast<long long>(r.pack_misses), r.pass ? "true" : "false",
-          i + 1 < grouped.size() ? "," : "");
+          r.pass ? "true" : "false", i + 1 < grouped.size() ? "," : "");
     }
     std::fprintf(
         f,

@@ -208,13 +208,12 @@ struct SpatialGroupRig {
 void BM_SpatialGroupFused(benchmark::State& state) {
   SpatialGroupRig rig(kSpatialGroupShapes[state.range(0)],
                       static_cast<int>(state.range(1)));
-  nn::WeightPanelCache cache;
   int64_t macs = 0;
   for (auto _ : state) {
     std::fill(rig.y.begin(), rig.y.end(), 0.f);
     macs = nn::conv_group_masked(rig.x.data(), rig.in_floats(), rig.g,
                                  rig.w.data(), rig.g.in_c, nullptr, rig.mask,
-                                 rig.samples, rig.ids(), &cache, rig.y.data(),
+                                 rig.samples, rig.ids(), rig.y.data(),
                                  rig.in_floats(), rig.ws);
     benchmark::DoNotOptimize(rig.y.data());
   }

@@ -363,114 +363,6 @@ void quantize_conv_weights(const float* w, int out_c, int in_c, int kk,
                            out.scale.data(), out.wsum.data());
 }
 
-void WeightPanelCache::prepare(int out_c, int in_c, int kk,
-                               bool int8_regime) {
-  // The f32 panel tops out at the full weight size; reserve the kept-set
-  // copies too, so a runtime pack touches no allocator.
-  // Idempotent: a repeat call on already-sized ways keeps warm panels.
-  const size_t full = static_cast<size_t>(out_c) * in_c * kk;
-  const size_t qrow =
-      static_cast<size_t>(int8_align4(static_cast<int64_t>(in_c) * kk));
-  for (Entry& e : ways) {
-    if (e.panel.size() < full) {
-      e.panel.resize(full);
-      e.valid = false;
-    }
-    if (int8_regime) {
-      const size_t qfull = static_cast<size_t>(out_c) * qrow;
-      if (e.qpanel.size() < qfull) {
-        e.qpanel.resize(qfull);
-        if (e.is_int8) e.valid = false;
-      }
-      if (e.qwsum.size() < static_cast<size_t>(out_c))
-        e.qwsum.resize(static_cast<size_t>(out_c));
-      if (e.qscale.size() < static_cast<size_t>(out_c))
-        e.qscale.resize(static_cast<size_t>(out_c));
-    }
-    e.channels.reserve(static_cast<size_t>(in_c));
-    e.out_channels.reserve(static_cast<size_t>(out_c));
-  }
-}
-
-namespace {
-
-// FNV-1a over the kept sets + regime: the identity of a panel, used by
-// the evicted-key ring to tell capacity misses from cold ones.
-uint64_t panel_key_hash(std::span<const int> ch, std::span<const int> oc,
-                        bool is_int8) {
-  uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(is_int8 ? 2u : 3u);
-  mix(static_cast<uint64_t>(ch.size()));
-  for (int c : ch) mix(static_cast<uint64_t>(static_cast<uint32_t>(c)));
-  mix(static_cast<uint64_t>(oc.size()));
-  for (int c : oc) mix(static_cast<uint64_t>(static_cast<uint32_t>(c)));
-  return h;
-}
-
-// Index of the way holding this exact panel identity, or -1.
-int find_way(WeightPanelCache& cache, std::span<const int> ch,
-             std::span<const int> oc, bool is_int8) {
-  for (int i = 0; i < WeightPanelCache::kWays; ++i) {
-    const WeightPanelCache::Entry& e = cache.ways[i];
-    if (e.valid && e.is_int8 == is_int8 &&
-        std::equal(ch.begin(), ch.end(), e.channels.begin(),
-                   e.channels.end()) &&
-        std::equal(oc.begin(), oc.end(), e.out_channels.begin(),
-                   e.out_channels.end())) {
-      return i;
-    }
-  }
-  return -1;
-}
-
-// Bookkeeping for a miss on `key`: classifies it cold vs capacity via the
-// evicted-key ring, picks the victim way (first invalid, else LRU) and
-// records the eviction. Returns the way to fill; the caller installs the
-// panel and stamps it.
-WeightPanelCache::Entry& take_miss_way(WeightPanelCache& cache,
-                                       uint64_t key) {
-  cache.misses.add(1);
-  bool seen_before = false;
-  for (uint64_t k : cache.evicted_keys) {
-    if (k == key && k != 0) {
-      seen_before = true;
-      break;
-    }
-  }
-  if (seen_before) {
-    cache.capacity_misses.add(1);
-  } else {
-    cache.cold_misses.add(1);
-  }
-  int victim = -1;
-  for (int i = 0; i < WeightPanelCache::kWays; ++i) {
-    if (!cache.ways[i].valid) {
-      victim = i;
-      break;
-    }
-  }
-  if (victim < 0) {
-    victim = 0;
-    for (int i = 1; i < WeightPanelCache::kWays; ++i) {
-      if (cache.ways[i].stamp < cache.ways[victim].stamp) victim = i;
-    }
-  }
-  WeightPanelCache::Entry& e = cache.ways[victim];
-  if (e.valid) {
-    cache.evictions.add(1);
-    cache.evicted_keys[cache.evict_pos] =
-        panel_key_hash(e.channels, e.out_channels, e.is_int8);
-    cache.evict_pos = (cache.evict_pos + 1) % WeightPanelCache::kEvictRing;
-  }
-  return e;
-}
-
-}  // namespace
-
 void pack_weight_panel_into(const float* w, int in_c, int kk,
                             std::span<const int> ch, std::span<const int> oc,
                             float* dst_base) {
@@ -490,33 +382,6 @@ void pack_weight_panel_into(const float* w, int in_c, int kk,
   }
 }
 
-const float* pack_weight_panel(const float* w, int in_c, int kk,
-                               std::span<const int> ch,
-                               std::span<const int> oc,
-                               WeightPanelCache& cache) {
-  const int ck = static_cast<int>(ch.size());
-  const int ok = static_cast<int>(oc.size());
-  const int wi = find_way(cache, ch, oc, /*is_int8=*/false);
-  if (wi >= 0) {
-    cache.hits.add(1);
-    cache.ways[wi].stamp = ++cache.clock;
-    return cache.ways[wi].panel.data();
-  }
-  WeightPanelCache::Entry& e =
-      take_miss_way(cache, panel_key_hash(ch, oc, /*is_int8=*/false));
-  // Callers that reserved their plan arrive pre-sized; unreserved ad-hoc
-  // paths grow the way here once and converge, like the arena.
-  const size_t needed = static_cast<size_t>(ok) * ck * kk;
-  if (e.panel.size() < needed) e.panel.resize(needed);
-  pack_weight_panel_into(w, in_c, kk, ch, oc, e.panel.data());
-  e.channels.assign(ch.begin(), ch.end());
-  e.out_channels.assign(oc.begin(), oc.end());
-  e.is_int8 = false;
-  e.valid = true;
-  e.stamp = ++cache.clock;
-  return e.panel.data();
-}
-
 void pack_weight_panel_i8_into(const Int8ConvWeights& qw, int kk,
                                std::span<const int> ch,
                                std::span<const int> oc, int8_t* qdst,
@@ -530,54 +395,21 @@ void pack_weight_panel_i8_into(const Int8ConvWeights& qw, int kk,
     const int8_t* src = qw.q.data() + static_cast<int64_t>(occ) *
                                           qw.row_stride;
     int8_t* dst = qdst + static_cast<int64_t>(oi) * p4;
-    int32_t sum = 0;
     for (int ci = 0; ci < ck; ++ci) {
-      const int8_t* block =
-          src + static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * kk;
-      int8_t* out = dst + static_cast<int64_t>(ci) * kk;
-      for (int t = 0; t < kk; ++t) {
-        out[t] = block[t];
-        sum += block[t];
-      }
+      std::memcpy(dst + static_cast<int64_t>(ci) * kk,
+                  src + static_cast<int64_t>(ch[static_cast<size_t>(ci)]) * kk,
+                  static_cast<size_t>(kk));
     }
     // Zero pad keeps both the dot product and wsum exact regardless of
     // the (biased) activation pad bytes.
     for (int64_t t = patch_k; t < p4; ++t) dst[t] = 0;
+    // One pass over the packed row, which vectorizes; summing inside the
+    // kk-byte block copies does not.
+    int32_t sum = 0;
+    for (int64_t t = 0; t < patch_k; ++t) sum += dst[t];
     wsum_dst[oi] = sum;
     scale_dst[oi] = qw.scale[static_cast<size_t>(occ)];
   }
-}
-
-Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
-                               std::span<const int> ch,
-                               std::span<const int> oc,
-                               WeightPanelCache& cache) {
-  const int ck = static_cast<int>(ch.size());
-  const int ok = static_cast<int>(oc.size());
-  const int wi = find_way(cache, ch, oc, /*is_int8=*/true);
-  if (wi >= 0) {
-    cache.hits.add(1);
-    WeightPanelCache::Entry& e = cache.ways[wi];
-    e.stamp = ++cache.clock;
-    return {e.qpanel.data(), e.qwsum.data(), e.qscale.data()};
-  }
-  WeightPanelCache::Entry& e =
-      take_miss_way(cache, panel_key_hash(ch, oc, /*is_int8=*/true));
-  const size_t needed = static_cast<size_t>(ok) *
-                        int8_align4(static_cast<int64_t>(ck) * kk);
-  if (e.qpanel.size() < needed) e.qpanel.resize(needed);
-  if (e.qwsum.size() < static_cast<size_t>(ok))
-    e.qwsum.resize(static_cast<size_t>(ok));
-  if (e.qscale.size() < static_cast<size_t>(ok))
-    e.qscale.resize(static_cast<size_t>(ok));
-  pack_weight_panel_i8_into(qw, kk, ch, oc, e.qpanel.data(),
-                            e.qwsum.data(), e.qscale.data());
-  e.channels.assign(ch.begin(), ch.end());
-  e.out_channels.assign(oc.begin(), oc.end());
-  e.is_int8 = true;
-  e.valid = true;
-  e.stamp = ++cache.clock;
-  return {e.qpanel.data(), e.qwsum.data(), e.qscale.data()};
 }
 
 namespace {
@@ -883,8 +715,7 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
                             const Int8ConvWeights* qw, int out_c,
                             const float* bias, std::span<const int> ch,
                             std::span<const int> oc_set,
-                            std::span<const int> samples,
-                            WeightPanelCache* cache, float* y_base,
+                            std::span<const int> samples, float* y_base,
                             int64_t out_floats, Workspace& ws,
                             int64_t tile) {
   const int in_c = g.in_c;
@@ -900,24 +731,25 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
   const int64_t ldt = static_cast<int64_t>(gs) * tile_w;
 
   const float* w_panel = w;
-  Int8Panel q_panel;
+  const int8_t* q_panel = nullptr;
+  const int32_t* q_wsum = nullptr;
+  const float* q_scale = nullptr;
   if (qw != nullptr) {
     AD_CHECK_EQ(qw->row_stride, int8_align4(static_cast<int64_t>(in_c) * kk));
-    q_panel = {qw->q.data(), qw->wsum.data(), qw->scale.data()};
+    q_panel = qw->q.data();
+    q_wsum = qw->wsum.data();
+    q_scale = qw->scale.data();
   }
   if (ck < in_c || ok < out_c) {
     obs::PhaseScope span(obs::Phase::kPack);
-    if (qw != nullptr && cache != nullptr) {
-      q_panel = pack_weight_panel_i8(*qw, kk, ch, oc_set, *cache);
-    } else if (qw != nullptr) {
-      // Cross-group parallel regime: pack into this worker's arena slice.
+    if (qw != nullptr) {
       int8_t* qdst = ws.alloc<int8_t>(static_cast<int64_t>(ok) * p4);
       int32_t* wsum = ws.alloc<int32_t>(ok);
       float* scale = ws.alloc_floats(ok);
       pack_weight_panel_i8_into(*qw, kk, ch, oc_set, qdst, wsum, scale);
-      q_panel = {qdst, wsum, scale};
-    } else if (cache != nullptr) {
-      w_panel = pack_weight_panel(w, in_c, kk, ch, oc_set, *cache);
+      q_panel = qdst;
+      q_wsum = wsum;
+      q_scale = scale;
     } else {
       float* panel = ws.alloc_floats(static_cast<int64_t>(ok) * patch_k);
       pack_weight_panel_into(w, in_c, kk, ch, oc_set, panel);
@@ -1013,8 +845,8 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
     {
       obs::PhaseScope span(obs::Phase::kGemm);
       if (qw != nullptr) {
-        igemm_u8s8_dequant(ok, ld, p4, q_panel.panel, p4, qcols, q_panel.wsum,
-                           q_panel.scale, sa, y_sub, ld);
+        igemm_u8s8_dequant(ok, ld, p4, q_panel, p4, qcols, q_wsum, q_scale,
+                           sa, y_sub, ld);
       } else {
         gemm_nn(ok, static_cast<int>(ld), patch_k, 1.f, w_panel, cols, 0.f,
                 y_sub, &ws);
@@ -1052,8 +884,7 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvGeom& g, const float* w, int out_c,
                           const float* bias, const ConvRuntimeMask& m,
                           std::span<const int> samples,
-                          const ConvIdentityIndices& ids,
-                          WeightPanelCache* cache, float* y_base,
+                          const ConvIdentityIndices& ids, float* y_base,
                           int64_t out_floats, Workspace& ws, int64_t tile,
                           const Int8ConvWeights* qw) {
   AD_CHECK_GT(samples.size(), 0u);
@@ -1073,8 +904,8 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
   const int64_t macs =
       m.positions.empty()
           ? conv_group_channels(x_base, in_floats, g, w, qw, out_c, bias, ch,
-                                oc_set, samples, cache, y_base, out_floats,
-                                ws, tile)
+                                oc_set, samples, y_base, out_floats, ws,
+                                tile)
           : conv_group_spatial(x_base, in_floats, g, w, bias, ch, oc_set,
                                m.positions, samples, y_base, out_floats, ws);
   ws.rewind(per_group);
@@ -1112,10 +943,11 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
   // The channel path allocates its buffers at the full-tile group width
   // gs * tile; untiled is one tile of gs * pos.
   const int64_t ldc = static_cast<int64_t>(gs) * (tiled ? tile : pos);
-  // Channel/filter path with full index sets: the f32 lowered tile, y_sub
-  // and the GEMM's panels (a packed weight panel lives in the cross-pass
-  // cache or in the worker slice, see conv_group_masked_slice_bytes).
+  // F32 channel/filter path with full index sets: the kept-filter panel
+  // (a group that drops nothing packs none, so the full weight size bounds
+  // it), the lowered tile, y_sub and the GEMM's panels.
   size_t channel_path =
+      Workspace::align_up(static_cast<size_t>(out_c) * patch * sizeof(float)) +
       Workspace::align_up(static_cast<size_t>(patch) * ldc * sizeof(float)) +
       Workspace::align_up(static_cast<size_t>(out_c) * ldc * sizeof(float)) +
       gemm_nn_scratch_bytes(out_c, static_cast<int>(ldc),
@@ -1142,9 +974,14 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
     worst = std::max(worst, spatial_path);
   }
   if (int8_regime) {
-    // Int8 channel path: every member's quantized input planes + one u8
-    // operand tile + the dequantized y_sub (no GEMM pack panels).
+    // Int8 channel path: the int8 panel with its wsum and scale, every
+    // member's quantized input planes, one u8 operand tile and the
+    // dequantized y_sub (no GEMM pack panels).
     const size_t i8_path =
+        Workspace::align_up(static_cast<size_t>(out_c) *
+                            int8_align4(patch)) +
+        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(int32_t)) +
+        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(float)) +
         Workspace::align_up(static_cast<size_t>(
             static_cast<int64_t>(gs) * g.in_c * padded_plane_bytes(g))) +
         Workspace::align_up(static_cast<size_t>(int8_align4(patch)) * ldc) +
@@ -1153,30 +990,6 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
     worst = std::max(worst, i8_path);
   }
   return worst;
-}
-
-size_t conv_group_masked_slice_bytes(const ConvGeom& g, int out_c, int gs,
-                                     bool int8_regime, int64_t tile,
-                                     bool spatial_masks) {
-  // Cache-less regime: the channel path's worker packs the kept-filter
-  // weight panel into its slice, bounded by the full weight size (full kept
-  // sets themselves pack nothing); under int8 it may instead pack the int8
-  // panel + wsum + scale triplet, so the larger of the two pack footprints
-  // is reserved. The spatial path reads its weights in place and packs
-  // nothing.
-  const int64_t kk = static_cast<int64_t>(g.k_h) * g.k_w;
-  size_t pack_bytes = Workspace::align_up(
-      static_cast<size_t>(out_c) * g.in_c * kk * sizeof(float));
-  if (int8_regime) {
-    const size_t i8_pack =
-        Workspace::align_up(static_cast<size_t>(out_c) *
-                            int8_align4(static_cast<int64_t>(g.in_c) * kk)) +
-        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(int32_t)) +
-        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(float));
-    pack_bytes = std::max(pack_bytes, i8_pack);
-  }
-  return pack_bytes + conv_group_masked_scratch_bytes(
-                          g, out_c, gs, int8_regime, tile, spatial_masks);
 }
 
 }  // namespace antidote::nn

@@ -18,9 +18,9 @@
 //     GEMM instead of per-sample scatter kernels. A dense step is the
 //     keep-everything point of the same computation: one call per sample
 //     with an empty mask. Channel masks pack the kept filter rows ONCE
-//     into a weight panel (cached across passes by kept set, so static
-//     filter masks never repack); full kept sets and spatial masks read
-//     the weights in place. Per-element accumulation order is unchanged,
+//     per group into a weight panel in the group's workspace; full kept
+//     sets and spatial masks read the weights in place. Per-element
+//     accumulation order is unchanged,
 //     so grouped outputs are bitwise identical to the per-sample kernels'.
 //
 // The matching *_bytes functions report the worst-case arena high-water
@@ -29,7 +29,6 @@
 // before the first pass ever runs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -142,91 +141,6 @@ int64_t conv_sample_masked(const float* xb, const ConvGeom& g, const float* w,
 
 // --- mask-grouped batch kernels -------------------------------------------
 
-// A copyable relaxed atomic counter. WeightPanelCache lives inside PlanOp,
-// which must stay movable (plans hold ops in a vector), and its counters
-// are read by observers (plan-dump, tests) while pool workers may still be
-// incrementing them — a plain int64 there is a data race. Relaxed ordering
-// is all a statistic needs; copy/move snapshot the current value.
-class RelaxedCounter {
- public:
-  RelaxedCounter() = default;
-  RelaxedCounter(const RelaxedCounter& o) : v_(o.get()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v_.store(o.get(), std::memory_order_relaxed);
-    return *this;
-  }
-  void add(int64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t get() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> v_{0};
-};
-
-// Cross-pass cache for the kept-filter weight panels of one conv site.
-// Only the channel/filter path packs panels, and only when a channel or
-// filter is dropped: keep-all groups (every dense step) and the spatial
-// path read their weights in place (see conv_group_masked), so they never
-// look the cache up.
-//
-// The cache is a kWays-way fully-associative set with exact LRU
-// replacement. A single-entry cache was miss-dominated the moment a
-// sequential pass interleaved >= 2 distinct masks per conv (the batch
-// executor walks groups in bucket order, so masks A, B, A, B evicted
-// each other every pass — BENCH_plan showed 228 misses vs 80 hits on
-// vgg16 at only 2 distinct masks). Four ways cover the bench and serving
-// sweet spot (<= 4 distinct masks per conv per pass hit 100% after the
-// first pass); beyond that, LRU under a strided repeat pattern degrades
-// to the old always-miss behaviour, which the capacity-miss counter now
-// makes visible instead of silent.
-//
-// prepare() sizes every way for the worst kept set (the plan calls it
-// from reserve(), so a reserved serving path never packs through the
-// allocator; unreserved callers grow lazily on first pack and converge).
-// A hit (same kept sets and numeric regime as a cached panel) skips the
-// pack entirely. The cache copies weight values, so it shares the plan's
-// staleness contract: mutating weights in eval mode requires
-// ConvNet::invalidate_plan().
-//
-// Miss taxonomy (misses == cold_misses + capacity_misses): a ring of
-// recently-evicted key hashes classifies each miss as *capacity* (this
-// key was cached before and got evicted — more ways or fewer distinct
-// masks would have hit) or *cold* (first sighting). `evictions` counts
-// valid entries overwritten; `bypass` counts groups executed in the
-// cross-group parallel regime, where the cache is deliberately not
-// consulted (each worker packs into its private slice).
-struct WeightPanelCache {
-  static constexpr int kWays = 4;
-  struct Entry {
-    std::vector<float> panel;      // f32 panel [ok][ck*kk]
-    std::vector<int8_t> qpanel;    // int8 panel (int8 regime)
-    std::vector<int32_t> qwsum;    // per kept filter: sum of its int8 bytes
-    std::vector<float> qscale;     // per kept filter: dequant scale
-    std::vector<int> channels;     // kept set the panel encodes
-    std::vector<int> out_channels;
-    bool is_int8 = false;
-    bool valid = false;
-    uint64_t stamp = 0;  // LRU clock value of the last touch
-  };
-  Entry ways[kWays];
-  uint64_t clock = 0;  // owner-thread only (sequential regime)
-  static constexpr int kEvictRing = 32;
-  uint64_t evicted_keys[kEvictRing] = {};
-  int evict_pos = 0;
-  RelaxedCounter hits;
-  RelaxedCounter misses;
-  RelaxedCounter cold_misses;
-  RelaxedCounter capacity_misses;
-  RelaxedCounter evictions;
-  RelaxedCounter bypass;
-
-  // Reserves worst-case storage (full kept sets) in every way; with
-  // `int8_regime` the int8 panel arrays are sized as well (the f32 arrays
-  // always are, so a regime flip after reserve still packs without
-  // allocating).
-  void prepare(int out_c, int in_c, int kk, bool int8_regime = false);
-};
-
 // Per-conv int8 weights, quantized once at plan-compile time
 // (per-output-channel symmetric; see nn/int8_kernels.h for the scheme).
 // `q` holds [out_c][row_stride] zero-padded rows; `wsum`/`scale` are the
@@ -253,35 +167,15 @@ void pack_weight_panel_into(const float* w, int in_c, int kk,
                             std::span<const int> ch, std::span<const int> oc,
                             float* dst);
 
-// Cached variant: packs into `cache` only on a miss.
-const float* pack_weight_panel(const float* w, int in_c, int kk,
-                               std::span<const int> ch,
-                               std::span<const int> oc,
-                               WeightPanelCache& cache);
-
-// The int8 kept-filter panel of one mask group: rows of
-// int8_align4(ck*kk) bytes gathered from the plan's Int8ConvWeights,
-// with the per-row byte sums (for the u8-bias correction) and dequant
-// scales gathered alongside.
-struct Int8Panel {
-  const int8_t* panel = nullptr;
-  const int32_t* wsum = nullptr;
-  const float* scale = nullptr;
-};
-
-// Packs the int8 channel-layout panel into caller storage (qdst holds
-// ok * int8_align4(ck*kk) bytes; wsum_dst/scale_dst hold ok entries).
+// Packs the int8 kept-filter panel of one mask group into caller storage:
+// rows of int8_align4(ck*kk) bytes gathered from the plan's
+// Int8ConvWeights (qdst holds ok of them), with the per-row byte sums (for
+// the u8-bias correction) and dequant scales gathered alongside
+// (wsum_dst/scale_dst hold ok entries).
 void pack_weight_panel_i8_into(const Int8ConvWeights& qw, int kk,
                                std::span<const int> ch,
                                std::span<const int> oc, int8_t* qdst,
                                int32_t* wsum_dst, float* scale_dst);
-
-// Cached int8 variant; shares ways, LRU state and counters with the f32
-// panels of the same site.
-Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
-                               std::span<const int> ch,
-                               std::span<const int> oc,
-                               WeightPanelCache& cache);
 
 // One mask group of a batch conv step, and the executor's only conv step:
 // a dense step is one call per sample with an empty (keep-all) mask.
@@ -298,10 +192,10 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
 //
 // Channel/filter masks (and keep-all) run one pipeline in both regimes;
 // `qw` selects int8 (the plan's quantized weights; nullptr means f32):
-//   1. the kept-filter weight panel, packed only when some channel or
-//      filter is dropped (from the cross-pass cache, or into the worker's
-//      slice). With full kept sets the weights already are the panel, byte
-//      for byte: the f32 tensor `w`, or qw's rows, wsum and scale.
+//   1. the kept-filter weight panel, packed into `ws` only when some
+//      channel or filter is dropped. With full kept sets the weights
+//      already are the panel, byte for byte: the f32 tensor `w`, or qw's
+//      rows, wsum and scale.
 //   2. int8 only: every member's kept input planes quantized ONCE into
 //      padded biased-u8 planes (nn/int8_kernels.h) at one scale per group,
 //      the largest |x| over those planes.
@@ -332,37 +226,33 @@ Int8Panel pack_weight_panel_i8(const Int8ConvWeights& qw, int kk,
 // whole output planes, so column tiling would not keep it a pure
 // output-column split.
 //
-// Two invocation regimes:
-//   - sequential (cache != nullptr): groups run one after another on the
-//     caller's thread; the kernel's stages parallelize internally and a
-//     packed weight panel comes from the cross-pass cache.
-//   - cross-group parallel (cache == nullptr): the caller runs several
-//     groups concurrently, each on a pool worker with `ws` bound to a
-//     private arena slice (Workspace::bind_external). A packed weight
-//     panel goes into the slice (a shared cache would race, and with >= 2
-//     distinct kept sets per pass it could not hit anyway) and the
-//     internal parallel_fors run inline under the nested-dispatch guard.
-//     Distinct groups cover distinct samples, so outputs are disjoint and
-//     the result is bitwise identical to sequential group order.
+// Everything the call draws from `ws` is rewound before it returns. The
+// caller may run several groups concurrently, each on a pool worker with
+// `ws` bound to a private arena slice (Workspace::bind_external); the
+// internal parallel_fors then run inline under the nested-dispatch guard.
+// Distinct groups cover distinct samples, so outputs are disjoint and the
+// result is bitwise identical to sequential group order.
 int64_t conv_group_masked(const float* x_base, int64_t in_floats,
                           const ConvGeom& g, const float* w, int out_c,
                           const float* bias, const ConvRuntimeMask& m,
                           std::span<const int> samples,
-                          const ConvIdentityIndices& ids,
-                          WeightPanelCache* cache, float* y_base,
+                          const ConvIdentityIndices& ids, float* y_base,
                           int64_t out_floats, Workspace& ws,
                           int64_t tile = 0,
                           const Int8ConvWeights* qw = nullptr);
 
 // Worst-case arena bytes of one conv_group_masked call with a group of
 // `gs` samples, maximized over every mask shape the geometry admits (full
-// index sets; the spatial path — column panels, inverse table and product
-// buffer — only when the conv preserves the grid AND `spatial_masks`; the
-// int8 channel path — the group's u8 planes, one u8 operand tile and
-// y_sub — when `int8_regime`).
+// index sets; the f32 channel path — the kept-filter panel, the lowered
+// tile, y_sub and the GEMM's panels; the spatial path — column panels,
+// inverse table and product buffer — only when the conv preserves the grid
+// AND `spatial_masks`; the int8 channel path — the int8 panel with its
+// wsum and scale, the group's u8 planes, one u8 operand tile and y_sub —
+// when `int8_regime`).
 // Monotone in gs, so a batch's worst case over any grouping is the
 // single-group-of-n value (groups run sequentially between rewinds); it
-// covers a dense step's one-member keep-all calls too.
+// covers a dense step's one-member keep-all calls too, and sizes one
+// worker's arena slice when groups run concurrently.
 // `tile` must match the execution call; the spatial path never tiles, so
 // its untiled O(gs * pos) footprint stays in the max whenever it is
 // accounted. Callers that know position masks can never reach the conv
@@ -373,16 +263,6 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
                                        bool int8_regime = false,
                                        int64_t tile = 0,
                                        bool spatial_masks = true);
-
-// Worst-case bytes of one PER-WORKER arena slice for the cross-group
-// parallel regime (cache == nullptr): the group scratch above plus the
-// channel-path weight panel the worker packs into its slice (the larger of
-// the f32 panel and the int8 panel+wsum+scale when `int8_regime`; the
-// spatial path packs none, so this bounds it too). Monotone in gs.
-size_t conv_group_masked_slice_bytes(const ConvGeom& g, int out_c, int gs,
-                                     bool int8_regime = false,
-                                     int64_t tile = 0,
-                                     bool spatial_masks = true);
 
 // Option-A residual shortcut kernel: spatial subsampling by `stride` with
 // zero-padded extra channels (out_c >= in_c). Zero-fills y, then copies

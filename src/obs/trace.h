@@ -52,7 +52,7 @@ enum class Phase : uint8_t {
   kGroup,         // one mask group executed by a pool/caller worker
   kIm2col,        // dense im2col lowering
   kGather,        // masked gather (rows or positions)
-  kPack,          // weight panel packing (cached or bypass)
+  kPack,          // kept-filter panel packed into the group's workspace
   kGemm,          // the GEMM itself
   kEpilogue,      // fused bias+activation epilogue
   kScatter,       // masked scatter back to dense output

@@ -278,9 +278,7 @@ InferencePlan PlanBuilder::finish() {
   // Per-op kernel scratch is computed by arena_bytes() directly from the op
   // geometry (it depends on the batch size under grouped execution). The
   // plan's shared identity-index (iota) array, sized at the largest
-  // channel count, is built once, so conv steps never rebuild index sets;
-  // weight-panel caches are sized at reserve() time (dense-only plans
-  // never pay them) or lazily on first pack.
+  // channel count, is built once, so conv steps never rebuild index sets.
   int64_t max_dim = 0;
   for (const PlanOp& op : plan_.ops_) {
     if (op.kind != OpKind::kConv) continue;

@@ -91,7 +91,7 @@ size_t coarsen_scratch_bytes(const ConvGeom& g, int n) {
 //   - cross-group parallel (G >= 2 groups over W = min(threads, G, cap)
 //     workers): the executor carves W slices each sized for the largest
 //     group, and with G groups the largest group holds at most n - G + 1
-//     samples — maximize W * slice(n - G + 1) over G.
+//     samples — maximize W * scratch(n - G + 1) over G.
 // The bound depends on the process thread budget (compute_threads), which
 // is fixed for the process lifetime, so it is still exact per pass.
 size_t conv_step_scratch_bytes(const PlanOp& op, int n, bool int8_regime) {
@@ -116,9 +116,9 @@ size_t conv_step_scratch_bytes(const PlanOp& op, int n, bool int8_regime) {
     masked_kernel = std::max(
         masked_kernel,
         static_cast<size_t>(width) *
-            nn::conv_group_masked_slice_bytes(g, out_c, n - groups + 1,
-                                              int8_regime, op.tile_pos,
-                                              spatial));
+            nn::conv_group_masked_scratch_bytes(g, out_c, n - groups + 1,
+                                                int8_regime, op.tile_pos,
+                                                spatial));
   }
   // The coarsening terms are accounted unconditionally (policy-independent
   // bound): the per-pass merge decision may be flipped at runtime by the
@@ -426,58 +426,39 @@ size_t InferencePlan::arena_bytes(int n) const {
 
 void InferencePlan::reserve(Workspace& ws, int n) {
   ws.reserve(arena_bytes(n));
-  // Weight-panel caches are sized here, not at compile time: a plan that
-  // only ever runs dense (no pruning engine, no static masks) would
-  // otherwise pay its whole conv weight footprint again for caches the
-  // dense path never touches.
+  size_pass_storage(n);
+}
+
+void InferencePlan::size_pass_storage(int n) {
+  const size_t slots = static_cast<size_t>(n);
   for (PlanOp& op : ops_) {
-    if (op.kind == OpKind::kConv) {
-      op.pack_cache.prepare(op.out_shape[0], op.geom.in_c,
-                            op.geom.k_h * op.geom.k_w,
-                            regime_ == NumericRegime::kInt8);
-      // Union-mask storage for coarsened passes: at most n clusters, each
-      // bounded by the op's full kept-set domains. Sized unconditionally
-      // (the policy can flip to kAuto at runtime, and a warm coarsened
-      // pass must stay heap-allocation-free either way).
-      if (op.coarse_masks.size() < static_cast<size_t>(n)) {
-        op.coarse_masks.resize(static_cast<size_t>(n));
-      }
-      for (nn::ConvRuntimeMask& um : op.coarse_masks) {
-        um.channels.reserve(static_cast<size_t>(op.geom.in_c));
+    if (op.kind != OpKind::kConv || op.coarse_masks.size() >= slots) continue;
+    // At most n coarsened clusters and n capped samples, each bounded by
+    // the op's full kept-set domains. Sized whatever the coarsening policy
+    // and compute cap say: both can change at runtime, and a warm pass
+    // must stay heap-allocation-free either way.
+    op.coarse_masks.resize(slots);
+    op.capped_masks.resize(slots);
+    for (std::vector<nn::ConvRuntimeMask>* storage :
+         {&op.coarse_masks, &op.capped_masks}) {
+      for (nn::ConvRuntimeMask& m : *storage) {
+        m.channels.reserve(static_cast<size_t>(op.geom.in_c));
         if (conv_grid_preserving(op.geom)) {
-          um.positions.reserve(
+          m.positions.reserve(
               static_cast<size_t>(op.geom.in_h * op.geom.in_w));
         }
-        um.out_channels.reserve(static_cast<size_t>(op.out_shape[0]));
-      }
-      // Clamped-mask storage for the compute cap, sized exactly like the
-      // union-mask storage above (one slot per sample, full-domain
-      // capacities) so a warm capped pass stays heap-allocation-free even
-      // when an attack trips the cap on every request.
-      if (op.capped_masks.size() < static_cast<size_t>(n)) {
-        op.capped_masks.resize(static_cast<size_t>(n));
-      }
-      for (nn::ConvRuntimeMask& cm : op.capped_masks) {
-        cm.channels.reserve(static_cast<size_t>(op.geom.in_c));
-        if (conv_grid_preserving(op.geom)) {
-          cm.positions.reserve(
-              static_cast<size_t>(op.geom.in_h * op.geom.in_w));
-        }
-        cm.out_channels.reserve(static_cast<size_t>(op.out_shape[0]));
+        m.out_channels.reserve(static_cast<size_t>(op.out_shape[0]));
       }
     }
   }
-  // Pre-create the per-worker slice views (and their one-entry block
-  // tables) so even the first cross-group parallel pass performs zero
-  // heap allocations — rebinding them to real slices is heap-free.
-  ensure_group_slices();
-}
-
-void InferencePlan::ensure_group_slices() {
-  if (group_slices_ != nullptr) return;
-  group_slices_ = std::make_unique<GroupSlices>();
-  for (GroupSlices::Slot& s : group_slices_->slot) {
-    s.ws.bind_external(nullptr, 0);
+  // The per-worker slice views (and their one-entry block tables), so even
+  // the first cross-group parallel pass performs zero heap allocations —
+  // rebinding them to real slices is heap-free.
+  if (group_slices_ == nullptr) {
+    group_slices_ = std::make_unique<GroupSlices>();
+    for (GroupSlices::Slot& s : group_slices_->slot) {
+      s.ws.bind_external(nullptr, 0);
+    }
   }
 }
 
@@ -551,7 +532,8 @@ namespace {
 // Truncates a kept-index component to `want` entries in canonical
 // (ascending-index) order, materializing the keep-all identity first when
 // the component is empty. The capacity is pre-reserved to the full domain
-// by InferencePlan::reserve(), so a warm truncation never allocates.
+// by InferencePlan::size_pass_storage(), so a warm truncation never
+// allocates.
 void truncate_kept(std::vector<int>& kept, int domain, int want) {
   if (kept.empty()) {
     kept.resize(static_cast<size_t>(domain));
@@ -594,10 +576,6 @@ std::span<const nn::ConvRuntimeMask> InferencePlan::cap_runtime_masks(
   }
   if (!any_over) return masks;  // untouched: the uncapped path is bitwise
 
-  if (op.capped_masks.size() < static_cast<size_t>(n)) {
-    // Unreserved caller: grows once and converges, like the arena.
-    op.capped_masks.resize(static_cast<size_t>(n));
-  }
   int capped = 0;
   for (int b = 0; b < n; ++b) {
     const nn::ConvRuntimeMask& src = masks[static_cast<size_t>(b)];
@@ -691,42 +669,6 @@ double InferencePlan::last_coarsen_extra_mac_frac() const {
          static_cast<double>(executed);
 }
 
-int64_t InferencePlan::pack_cache_hits() const {
-  int64_t total = 0;
-  for (const PlanOp& op : ops_) total += op.pack_cache.hits.get();
-  return total;
-}
-
-int64_t InferencePlan::pack_cache_misses() const {
-  int64_t total = 0;
-  for (const PlanOp& op : ops_) total += op.pack_cache.misses.get();
-  return total;
-}
-
-int64_t InferencePlan::pack_cache_bypass() const {
-  int64_t total = 0;
-  for (const PlanOp& op : ops_) total += op.pack_cache.bypass.get();
-  return total;
-}
-
-int64_t InferencePlan::pack_cache_cold_misses() const {
-  int64_t total = 0;
-  for (const PlanOp& op : ops_) total += op.pack_cache.cold_misses.get();
-  return total;
-}
-
-int64_t InferencePlan::pack_cache_capacity_misses() const {
-  int64_t total = 0;
-  for (const PlanOp& op : ops_) total += op.pack_cache.capacity_misses.get();
-  return total;
-}
-
-int64_t InferencePlan::pack_cache_evictions() const {
-  int64_t total = 0;
-  for (const PlanOp& op : ops_) total += op.pack_cache.evictions.get();
-  return total;
-}
-
 std::vector<OpCost> InferencePlan::cost_snapshot() const {
   std::vector<OpCost> out;
   out.reserve(ops_.size());
@@ -756,6 +698,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
   ws.reserve(arena_bytes(n) -
              Workspace::align_up(static_cast<size_t>(shape_floats(in_buf.per_sample_shape)) *
                       static_cast<size_t>(n) * sizeof(float)));
+  size_pass_storage(n);
   float* act_base = ws.alloc_floats(act_floats_ * n);
 
   slots_[static_cast<size_t>(input_buffer_)] = x;
@@ -933,12 +876,6 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
             op.last_coarsen_pred_after = dec.predicted_after;
             if (dec.clusters < groups) {
               op.last_coarsen_extra_macs = dec.extra_macs;
-              if (op.coarse_masks.size() <
-                  static_cast<size_t>(dec.clusters)) {
-                // Unreserved caller: grows once and converges, like the
-                // arena. reserve() pre-sizes this to n.
-                op.coarse_masks.resize(static_cast<size_t>(dec.clusters));
-              }
               // The planner clobbered work rows past its argmin state, so
               // multi-member clusters re-union their members' ORIGINAL
               // rows into the root's work row.
@@ -1034,17 +971,35 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
             }
             ws.rewind(coarsen_mark);
           }
+          // Groups run in strided lanes: lane w runs groups w, w + width,
+          // ... At width 1 the one lane runs inline on the owner's arena and
+          // every kernel parallelizes internally. At width >= 2 each lane
+          // runs on a pool worker over a private arena slice carved here on
+          // the owner thread (workers never touch the owning arena), and
+          // every kernel-internal parallel_for runs inline under the
+          // nested-dispatch guard. Groups cover disjoint samples, so either
+          // way the output is bitwise identical to sequential group order.
           const int width = group_parallel_width(threads, groups);
-          if (width >= 2) {
-            // Cross-group parallel: whole groups dispatch to pool workers
-            // (worker w runs groups w, w+width, ...), each over a private
-            // arena slice carved here on the owner thread — workers never
-            // touch the owning arena or the shared pack cache, and every
-            // kernel-internal parallel_for runs inline under the
-            // nested-dispatch guard. Groups cover disjoint samples, so
-            // this is bitwise identical to sequential group order.
-            ensure_group_slices();  // no-op when reserved; unreserved
-                                    // callers converge like the arena
+          const auto run_lane = [&](int lane, Workspace& lane_ws) {
+            int64_t lane_macs = 0;
+            for (int gi = lane; gi < groups; gi += width) {
+              const int gb = group_begin[gi];
+              const int ge = group_begin[gi + 1];
+              obs::PhaseScope group_span(obs::Phase::kGroup, op_index);
+              const nn::ConvRuntimeMask& gm =
+                  gmask != nullptr ? *gmask[gi]
+                                   : masks[static_cast<size_t>(order[gb])];
+              const std::span<const int> gsamples(
+                  order + gb, static_cast<size_t>(ge - gb));
+              lane_macs += nn::conv_group_masked(
+                  in.data(), in_floats, g, wp, out_c, bp, gm, gsamples, ids,
+                  out.data(), out_floats, lane_ws, op.tile_pos, qw);
+            }
+            return lane_macs;
+          };
+          if (width < 2) {
+            macs = run_lane(0, ws);
+          } else {
             int max_gs = 1;
             for (int gi = 0; gi < groups; ++gi) {
               max_gs = std::max(max_gs,
@@ -1058,7 +1013,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
             for (int b = 0; b < n && !any_spatial; ++b) {
               any_spatial = !masks[static_cast<size_t>(b)].positions.empty();
             }
-            const size_t slice_bytes = nn::conv_group_masked_slice_bytes(
+            const size_t slice_bytes = nn::conv_group_masked_scratch_bytes(
                 g, out_c, max_gs, int8, op.tile_pos, any_spatial);
             char* slab =
                 ws.alloc<char>(static_cast<int64_t>(width) *
@@ -1079,45 +1034,11 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
                     obs::ScopedOp worker_attr(op_index);
                     Workspace& slice = group_slices_->slot[w].ws;
                     slice.bind_external(slab + w * slice_bytes, slice_bytes);
-                    int64_t local = 0;
-                    for (int gi = static_cast<int>(w); gi < groups;
-                         gi += width) {
-                      const int gb = group_begin[gi];
-                      const int ge = group_begin[gi + 1];
-                      obs::PhaseScope group_span(obs::Phase::kGroup,
-                                                 op_index);
-                      const nn::ConvRuntimeMask& gm =
-                          gmask != nullptr
-                              ? *gmask[gi]
-                              : masks[static_cast<size_t>(order[gb])];
-                      const std::span<const int> gsamples(
-                          order + gb, static_cast<size_t>(ge - gb));
-                      local += nn::conv_group_masked(
-                          in.data(), in_floats, g, wp, out_c, bp, gm,
-                          gsamples, ids, /*cache=*/nullptr, out.data(),
-                          out_floats, slice, op.tile_pos, qw);
-                    }
-                    worker_macs[w].macs = local;
+                    worker_macs[w].macs = run_lane(static_cast<int>(w), slice);
                   }
                 },
                 /*grain=*/1);
             for (int w = 0; w < width; ++w) macs += worker_macs[w].macs;
-            op.pack_cache.bypass.add(groups);
-          } else {
-            for (int gi = 0; gi < groups; ++gi) {
-              const int gb = group_begin[gi];
-              const int ge = group_begin[gi + 1];
-              obs::PhaseScope group_span(obs::Phase::kGroup, op_index);
-              const nn::ConvRuntimeMask& gm =
-                  gmask != nullptr ? *gmask[gi]
-                                   : masks[static_cast<size_t>(order[gb])];
-              const std::span<const int> gsamples(
-                  order + gb, static_cast<size_t>(ge - gb));
-              macs += nn::conv_group_masked(
-                  in.data(), in_floats, g, wp, out_c, bp, gm, gsamples, ids,
-                  &op.pack_cache, out.data(), out_floats, ws, op.tile_pos,
-                  qw);
-            }
           }
           op.last_groups = groups;
         } else {
@@ -1128,8 +1049,8 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           for (int b = 0; b < n; ++b) {
             macs += nn::conv_group_masked(
                 in.data(), in_floats, g, wp, out_c, bp, keep_all,
-                std::span<const int>(&b, 1), ids, &op.pack_cache, out.data(),
-                out_floats, ws, op.tile_pos, qw);
+                std::span<const int>(&b, 1), ids, out.data(), out_floats, ws,
+                op.tile_pos, qw);
           }
           op.last_groups = 0;
           op.last_groups_raw = 0;
@@ -1323,18 +1244,6 @@ std::string InferencePlan::to_string() const {
                   op.ewma_ms, groups_str.c_str(), tile_str.c_str());
     os << line;
   }
-  std::snprintf(line, sizeof(line),
-                "weight-pack cache: %lld hits / %lld misses "
-                "(%lld cold, %lld capacity) / %lld evictions / %lld "
-                "bypassed (parallel groups); last pass mask groups: %d\n",
-                static_cast<long long>(pack_cache_hits()),
-                static_cast<long long>(pack_cache_misses()),
-                static_cast<long long>(pack_cache_cold_misses()),
-                static_cast<long long>(pack_cache_capacity_misses()),
-                static_cast<long long>(pack_cache_evictions()),
-                static_cast<long long>(pack_cache_bypass()),
-                last_mask_groups());
-  os << line;
   std::snprintf(line, sizeof(line),
                 "mask coarsening: %s (mac bias %.2f); last pass groups "
                 "%d -> %d, union-added MACs %lld (%.2f%% of executed)\n",

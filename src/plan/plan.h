@@ -39,7 +39,7 @@
 //     so the executor buckets samples by canonical mask key
 //     (core::mask_key) each pass and runs every bucket as ONE compacted
 //     multi-sample GEMM (gathered activations side by side, kept-filter
-//     weight panel packed once per group and cached across passes), with
+//     weight panel packed once per group into the group's workspace), with
 //     gather/scatter/epilogue parallelized across samples — instead of
 //     paying per-sample kernel dispatch, im2col and weight gathering.
 //   - mask groups executed CONCURRENTLY when a pass produces several:
@@ -345,32 +345,25 @@ struct PlanOp {
   int prune_block = -1;
   bool prune_spatial = false;
 
-  // Cross-pass kept-filter weight panel cache for the grouped masked
-  // kernels (sized by InferencePlan::reserve, or lazily on first pack;
-  // 100% hit rate for static filter masks, which repeat every pass).
-  nn::WeightPanelCache pack_cache;
-
   // kConv, int8 regime: per-output-channel symmetric quantization of the
   // conv weight, computed once by set_regime(NumericRegime::kInt8) at
   // plan-"compile" time (empty under f32). Keep-all groups (every dense
   // step) read these rows in place; masked channel groups gather
-  // kept-filter panels from them into pack_cache.
+  // kept-filter panels from them into their workspace.
   nn::Int8ConvWeights int8_w;
 
   // Per-pass union-mask storage for coarsened groups: cluster c of a
   // coarsened pass materializes its union kept sets into coarse_masks[c].
-  // reserve() pre-sizes the vectors' capacities for the op's full domains
-  // so a warm coarsened pass stays heap-allocation-free; unreserved
-  // callers grow lazily on the first coarsened pass and converge, like
-  // the arena.
+  // One slot per sample of the largest batch the plan has been sized for,
+  // each with the op's full kept-set domains as capacity, so a warm
+  // coarsened pass stays heap-allocation-free.
   std::vector<nn::ConvRuntimeMask> coarse_masks;
 
   // Per-pass clamped-mask storage for the compute cap: when any sample's
   // runtime mask demands more than the plan's kept-MAC ceiling at this
   // step, the whole batch's masks are copied here (offenders truncated)
   // and the executor runs off this storage instead. Sized like
-  // coarse_masks: reserve() pre-grows capacities to the op's full domains
-  // so a warm capped pass stays heap-allocation-free.
+  // coarse_masks, so a warm capped pass stays heap-allocation-free.
   std::vector<nn::ConvRuntimeMask> capped_masks;
 
   // kConv: chosen output-position tile width (0 = untiled). Set at
@@ -470,8 +463,10 @@ class InferencePlan {
  public:
   // Executes the plan. `x` is the [N,C,H,W] batch (any storage); the
   // returned logits borrow plan-owned arena memory and are invalidated by
-  // the context's next begin_pass(). Reserves the arena if the caller did
-  // not (a no-op once capacity exists).
+  // the context's next begin_pass(). Reserves the arena and sizes the
+  // plan's per-pass storage if the caller did not (a no-op once a batch
+  // this large has been seen), so for an unreserved caller the plan
+  // allocates only on the first pass at each new largest batch size.
   Tensor run(const Tensor& x, nn::ExecutionContext& ctx);
 
   // Exact bytes one pass of batch size `n` draws from the arena:
@@ -480,19 +475,17 @@ class InferencePlan {
   // the process's fixed thread budget — ANTIDOTE_THREADS — capped at
   // kMaxGroupWorkers). Known before the first forward ever runs.
   size_t arena_bytes(int n) const;
-  // Pre-grows `ws` so a pass of batch size `n` performs zero arena growths
-  // and zero heap allocations, starting with the very first one. Also
-  // sizes every conv step's weight-panel cache for its worst kept set —
-  // callers that skip the reserve (ad-hoc evaluation) instead grow the
-  // caches lazily on first use and converge, like the arena itself.
+  // Pre-grows `ws` and sizes the plan's per-pass storage (the coarsened
+  // and capped mask slots, the per-worker slice views) so a pass of batch
+  // size `n` performs zero arena growths, and the plan itself zero heap
+  // allocations, starting with the very first one.
   void reserve(Workspace& ws, int n);
 
   // Switches the plan's numeric regime. Entering kInt8 quantizes every
   // conv step's weight per output channel (a one-time compile-style cost;
   // idempotent — already-quantized steps are kept). Measured step times
   // carry over unchanged; the EWMAs relearn the new regime as its passes
-  // land. Caches need no invalidation: the panel match key includes the
-  // regime. Call before reserve() — the int8 paths need quantized-column
+  // land. Call before reserve() — the int8 paths need quantized-column
   // scratch the f32 sizing omits.
   void set_regime(NumericRegime regime);
   NumericRegime regime() const { return regime_; }
@@ -565,22 +558,13 @@ class InferencePlan {
   // extra-arithmetic overhead the coarsened schedule accepted in exchange
   // for fewer group dispatches.
   double last_coarsen_extra_mac_frac() const;
-  // Cumulative kept-filter weight-panel cache hits/misses over all conv
-  // steps (static filter masks hit 100% after their first pack). Safe to
-  // read while workers execute: the counters are relaxed atomics.
-  int64_t pack_cache_hits() const;
-  int64_t pack_cache_misses() const;
-  // Miss taxonomy: cold misses (first sighting of a kept set) vs capacity
-  // misses (a kept set seen before, but evicted since — the signature of
-  // way starvation), plus the eviction count itself. cold + capacity ==
-  // misses.
-  int64_t pack_cache_cold_misses() const;
-  int64_t pack_cache_capacity_misses() const;
-  int64_t pack_cache_evictions() const;
-  // Groups executed in the cross-group parallel regime, which packs into
-  // per-worker slices and bypasses the cache by design (see
-  // WeightPanelCache::bypass).
-  int64_t pack_cache_bypass() const;
+  // Always 0: every mask group packs its kept-filter panel into its own
+  // workspace, so there is no panel cache to hit, miss or bypass. Kept
+  // only because the benchmark's replay reads them for two per-layer
+  // metrics until its next revision drops those.
+  int64_t pack_cache_hits() const { return 0; }
+  int64_t pack_cache_misses() const { return 0; }
+  int64_t pack_cache_bypass() const { return 0; }
 
   // Thread-unsafe snapshot for the owner thread; the scheduler hands it
   // to the LatencyController as its cost model.
@@ -612,8 +596,7 @@ class InferencePlan {
   // Per-worker arena-slice views for cross-group parallel execution,
   // rebound to slices of the pass arena each masked pass
   // (Workspace::bind_external — rebinding is heap-free). Created by
-  // reserve(), or lazily on the first multi-group pass of an unreserved
-  // caller; behind a unique_ptr so the plan stays movable.
+  // size_pass_storage(); behind a unique_ptr so the plan stays movable.
   // Each worker's slice view gets its own cache line: a Workspace object
   // is well under 64 bytes, so adjacent workers' bump pointers would
   // otherwise share a line and false-share on every slice allocation —
@@ -625,7 +608,11 @@ class InferencePlan {
     Slot slot[kMaxGroupWorkers];
   };
   std::unique_ptr<GroupSlices> group_slices_;
-  void ensure_group_slices();
+  // Sizes every conv step's coarse_masks and capped_masks to n slots with
+  // full-domain capacities, and creates the slice views. Does work only
+  // when n exceeds every batch size sized before; reserve() and run() both
+  // call it, so warm passes never grow this storage on the heap.
+  void size_pass_storage(int n);
   // Shared ascending identity indices, sized at the plan's largest channel
   // count; spans over a prefix stand in for an empty (= keep all) channel
   // or filter set, replacing the per-pass iota rebuilds the executor used

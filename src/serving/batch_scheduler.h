@@ -46,9 +46,12 @@ struct BatchPolicy {
 // A worker's private model. The replica puts the net in eval mode (serving
 // never trains) and installs the pruning engine when settings are given.
 // It also owns the worker's ExecutionContext: forward passes run out of
-// the replica's workspace arena, so steady-state serving performs zero
-// heap allocations per pass. The context is single-threaded by contract —
-// exactly one worker drives a replica.
+// the replica's workspace arena. The replica never calls
+// InferencePlan::reserve(); the plan's run() sizes the arena and its
+// per-pass storage the first time a batch is larger than any before, so
+// once the largest batch size has been seen, steady-state serving
+// performs zero heap allocations per pass. The context is single-threaded
+// by contract — exactly one worker drives a replica.
 class ModelReplica {
  public:
   ModelReplica(std::unique_ptr<models::ConvNet> net,

@@ -184,7 +184,7 @@ TEST(Cli, PlanDumpPrintsOpTableForAllModels) {
     EXPECT_GT(conv_lines, 1u) << c.model;
     EXPECT_NE(out.find("linear"), std::string::npos) << c.model;
     EXPECT_NE(out.find("arena bytes"), std::string::npos) << c.model;
-    EXPECT_NE(out.find("weight-pack cache"), std::string::npos) << c.model;
+    EXPECT_NE(out.find("mask coarsening"), std::string::npos) << c.model;
   }
 }
 
@@ -226,7 +226,6 @@ TEST(Cli, PlanDumpProfileRuns) {
   EXPECT_NE(out.find("profile:"), std::string::npos);
   EXPECT_NE(out.find("phase"), std::string::npos);
   EXPECT_NE(out.find("gemm"), std::string::npos);
-  EXPECT_NE(out.find("pack cache:"), std::string::npos);
 #else
   EXPECT_EQ(cli::run_cli(args), 1);
 #endif

@@ -16,9 +16,7 @@
 //   - end to end, a batch of near-identical hand-built masks merges below
 //     the exact-identity bucket count, stays bitwise identical to the
 //     per-sample module walk, and performs zero arena growths from the
-//     first reserved pass (f32 and int8);
-//   - WeightPanelCache keys on the (union) kept sets, so a repeated union
-//     mask hits after its first pack.
+//     first reserved pass (f32 and int8).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -302,13 +300,11 @@ struct KernelRig {
     }
   }
 
-  // The group kernel over `samples`; `cache` selects the sequential
-  // regime (non-null) or the cross-group slice regime (nullptr).
-  std::vector<float> run_f32(const nn::ConvRuntimeMask& m,
-                             nn::WeightPanelCache* cache = nullptr) {
+  // The group kernel over `samples`.
+  std::vector<float> run_f32(const nn::ConvRuntimeMask& m) {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
     nn::conv_group_masked(x.data(), in_floats(), g, w.data(), kOutC,
-                          bias_or_null(), m, samples, ids(), cache, y.data(),
+                          bias_or_null(), m, samples, ids(), y.data(),
                           out_floats(), ws, tile);
     return y;
   }
@@ -336,9 +332,8 @@ struct KernelRig {
                             const nn::ConvRuntimeMask& m) {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
     nn::conv_group_masked(x.data(), in_floats(), g, w.data(), kOutC,
-                          bias_or_null(), m, samples, ids(),
-                          /*cache=*/nullptr, y.data(), out_floats(), ws, tile,
-                          &qw);
+                          bias_or_null(), m, samples, ids(), y.data(),
+                          out_floats(), ws, tile, &qw);
     return y;
   }
 };
@@ -410,7 +405,6 @@ TEST(CoarsenKernel, KeepAllOneMemberGroupMatchesDenseSampleBitwise) {
   KernelRig rig;
   rig.y_init = -9.5f;
   const nn::ConvRuntimeMask keep_all;
-  nn::WeightPanelCache cache;
   for (const bool with_bias : {true, false}) {
     rig.with_bias = with_bias;
     for (const int s : {0, 5}) {
@@ -418,17 +412,12 @@ TEST(CoarsenKernel, KeepAllOneMemberGroupMatchesDenseSampleBitwise) {
       const std::vector<float> ref = rig.run_dense(s);
       for (const int64_t tile : kKeepAllTiles) {
         rig.tile = tile;
-        EXPECT_TRUE(bitwise_equal(rig.run_f32(keep_all, &cache), ref))
-            << "cached regime, sample " << s << ", tile " << tile
-            << ", bias " << with_bias;
-        EXPECT_TRUE(bitwise_equal(rig.run_f32(keep_all, nullptr), ref))
-            << "slice regime, sample " << s << ", tile " << tile
-            << ", bias " << with_bias;
+        EXPECT_TRUE(bitwise_equal(rig.run_f32(keep_all), ref))
+            << "sample " << s << ", tile " << tile << ", bias "
+            << with_bias;
       }
     }
   }
-  // Full kept sets are the weights themselves: nothing was packed.
-  EXPECT_EQ(cache.hits.get() + cache.misses.get(), 0);
 }
 
 TEST(CoarsenKernel, KeepAllTwoMemberGroupMatchesOneMemberBothRegimes) {
@@ -536,8 +525,6 @@ std::vector<nn::ConvRuntimeMask> spatial_cases(const ConvGeom& g) {
 }
 
 void expect_spatial_parity(KernelRig& rig) {
-  nn::WeightPanelCache cache;
-  cache.prepare(KernelRig::kOutC, rig.g.in_c, rig.g.k_h * rig.g.k_w);
   for (int members : {1, 3, 8}) {
     rig.samples.resize(static_cast<size_t>(members));
     std::iota(rig.samples.begin(), rig.samples.end(), 0);
@@ -546,13 +533,9 @@ void expect_spatial_parity(KernelRig& rig) {
       rig.with_bias = with_bias;
       int index = 0;
       for (const nn::ConvRuntimeMask& m : spatial_cases(rig.g)) {
-        const std::vector<float> ref = rig.run_reference(m);
-        EXPECT_TRUE(bitwise_equal(rig.run_f32(m, &cache), ref))
-            << "cached regime, " << members << " members, bias "
-            << with_bias << ", case " << index;
-        EXPECT_TRUE(bitwise_equal(rig.run_f32(m, nullptr), ref))
-            << "slice regime, " << members << " members, bias " << with_bias
-            << ", case " << index;
+        EXPECT_TRUE(bitwise_equal(rig.run_f32(m), rig.run_reference(m)))
+            << members << " members, bias " << with_bias << ", case "
+            << index;
         ++index;
       }
     }
@@ -568,8 +551,6 @@ TEST(CoarsenKernel, FusedSpatialOneByOneConvMatchesPerSampleKernelBitwise) {
   KernelRig rig(ConvGeom{8, 8, 8, 1, 1, 1, 0});
   expect_spatial_parity(rig);
 }
-
-// --- WeightPanelCache union-mask keying -----------------------------------
 
 // --- the group kernel's zero-fill contract ---------------------------------
 
@@ -596,22 +577,19 @@ TEST(CoarsenKernel, GroupWritesEveryMemberElementAndNoOtherSample) {
                 {"spatial", &spatial}};
   rig.samples = {1, 4, 6};
   const size_t slot = static_cast<size_t>(rig.out_floats());
-  nn::WeightPanelCache cache;
   for (const auto& group : groups) {
     for (const int64_t tile : kKeepAllTiles) {
       rig.tile = tile;
-      for (const int regime : {0, 1, 2}) {  // f32 cached, f32 slice, int8
+      for (const bool int8 : {false, true}) {
         const auto run = [&](float init) {
           rig.y_init = init;
-          return regime == 2   ? rig.run_i8(qw, *group.m)
-                 : regime == 1 ? rig.run_f32(*group.m, nullptr)
-                               : rig.run_f32(*group.m, &cache);
+          return int8 ? rig.run_i8(qw, *group.m) : rig.run_f32(*group.m);
         };
         const std::vector<float> got =
             run(std::numeric_limits<float>::quiet_NaN());
         rig.y_init = 0.f;
         const std::vector<float> ref =
-            regime == 2 ? run(0.f) : rig.run_reference(*group.m);
+            int8 ? run(0.f) : rig.run_reference(*group.m);
         for (int s = 0; s < KernelRig::kN; ++s) {
           const bool member = std::find(rig.samples.begin(),
                                         rig.samples.end(),
@@ -621,49 +599,18 @@ TEST(CoarsenKernel, GroupWritesEveryMemberElementAndNoOtherSample) {
             EXPECT_EQ(std::memcmp(g, ref.data() + s * slot,
                                   slot * sizeof(float)),
                       0)
-                << group.name << ", regime " << regime << ", tile " << tile
+                << group.name << ", int8 " << int8 << ", tile " << tile
                 << ", member " << s;
           } else {
             EXPECT_TRUE(std::all_of(g, g + slot,
                                     [](float v) { return std::isnan(v); }))
-                << group.name << ", regime " << regime << ", tile " << tile
+                << group.name << ", int8 " << int8 << ", tile " << tile
                 << ", non-member " << s;
           }
         }
       }
     }
   }
-}
-
-TEST(CoarsenCache, UnionMaskKeysHitAfterFirstPack) {
-  const int out_c = 4, in_c = 6, kk = 9;
-  Rng rng(11);
-  std::vector<float> w(static_cast<size_t>(out_c) * in_c * kk);
-  for (float& v : w) v = static_cast<float>(rng.normal());
-  std::vector<int> oc(out_c);
-  std::iota(oc.begin(), oc.end(), 0);
-  const std::vector<int> exact = {0, 1, 2};
-  const std::vector<int> uni = {0, 1, 2, 4};  // the union superset key
-
-  nn::WeightPanelCache cache;
-  cache.prepare(out_c, in_c, kk);
-  (void)nn::pack_weight_panel(w.data(), in_c, kk, exact, oc, cache);
-  EXPECT_EQ(cache.misses.get(), 1);
-  const float* u1 =
-      nn::pack_weight_panel(w.data(), in_c, kk, uni, oc, cache);
-  EXPECT_EQ(cache.misses.get(), 2);
-  // Same union kept set again: a hit on its own way, not a repack — and
-  // the exact set's panel is still resident (distinct keys, distinct ways).
-  const float* u2 =
-      nn::pack_weight_panel(w.data(), in_c, kk, uni, oc, cache);
-  EXPECT_EQ(cache.hits.get(), 1);
-  EXPECT_EQ(u1, u2);
-  (void)nn::pack_weight_panel(w.data(), in_c, kk, exact, oc, cache);
-  EXPECT_EQ(cache.hits.get(), 2);
-  // The union panel's contents match an uncached pack of the same sets.
-  std::vector<float> ref(uni.size() * static_cast<size_t>(out_c) * kk);
-  nn::pack_weight_panel_into(w.data(), in_c, kk, uni, oc, ref.data());
-  EXPECT_EQ(std::memcmp(u2, ref.data(), ref.size() * sizeof(float)), 0);
 }
 
 // --- end to end through the plan executor ---------------------------------

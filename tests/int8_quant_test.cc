@@ -1,9 +1,8 @@
 // Int8 regime semantics above the kernel layer: quantize -> dequantize
-// round-trip error bounds, zero-row and clamp edge cases, the 4-way LRU
-// weight-panel cache (hit behaviour at <= kWays distinct masks, LRU
-// thrash beyond, and the cold-vs-capacity miss taxonomy), and an
-// end-to-end small-plan check: int8 logits stay close to f32 and a
-// reserved arena executes the int8 regime with zero growths.
+// round-trip error bounds, zero-row and clamp edge cases, the full-set
+// int8 panel equalling the quantized weights, and an end-to-end
+// small-plan check: int8 logits stay close to f32 and a reserved arena
+// executes the int8 regime with zero growths.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -119,86 +118,7 @@ TEST(Int8Quant, ActivationRoundTripWithinHalfScale) {
   }
 }
 
-// --- weight-panel cache ----------------------------------------------------
-
-struct CacheFixture {
-  static constexpr int kOutC = 8, kInC = 6, kKk = 9;
-  std::vector<float> w;
-  nn::Int8ConvWeights qw;
-  nn::WeightPanelCache cache;
-  std::vector<int> all_out;
-
-  CacheFixture() {
-    Rng rng(63);
-    w = random_vec(static_cast<size_t>(kOutC) * kInC * kKk, rng);
-    nn::quantize_conv_weights(w.data(), kOutC, kInC, kKk, qw);
-    cache.prepare(kOutC, kInC, kKk, /*int8_regime=*/true);
-    for (int i = 0; i < kOutC; ++i) all_out.push_back(i);
-  }
-
-  void pack(const std::vector<int>& ch) {
-    const float* p =
-        nn::pack_weight_panel(w.data(), kInC, kKk, ch, all_out, cache);
-    ASSERT_NE(p, nullptr);
-  }
-};
-
-TEST(Int8Quant, PanelCacheHitsUpToFourAlternatingMasks) {
-  CacheFixture f;
-  // kWays distinct kept sets interleave within a pass (the executor walks
-  // groups in bucket order); after the first pass every pack must hit.
-  const std::vector<std::vector<int>> sets = {
-      {0, 1, 2}, {1, 2, 3}, {2, 3, 4, 5}, {0, 5}};
-  ASSERT_EQ(sets.size(), size_t{nn::WeightPanelCache::kWays});
-  for (const auto& s : sets) f.pack(s);
-  EXPECT_EQ(f.cache.misses.get(), 4);
-  EXPECT_EQ(f.cache.cold_misses.get(), 4);
-  EXPECT_EQ(f.cache.capacity_misses.get(), 0);
-  EXPECT_EQ(f.cache.hits.get(), 0);
-  EXPECT_EQ(f.cache.evictions.get(), 0);
-  for (int pass = 0; pass < 3; ++pass) {
-    for (const auto& s : sets) f.pack(s);
-  }
-  EXPECT_EQ(f.cache.misses.get(), 4);
-  EXPECT_EQ(f.cache.hits.get(), 12);
-}
-
-TEST(Int8Quant, PanelCacheClassifiesThrashAsCapacityMisses) {
-  CacheFixture f;
-  // kWays + 1 distinct sets cycled in order is the LRU worst case: every
-  // pack evicts the next set needed, so the steady state is all misses —
-  // and every one of them must be classified *capacity* (the key was
-  // cached before), not cold.
-  const std::vector<std::vector<int>> sets = {
-      {0}, {1}, {2}, {3}, {4}};
-  for (const auto& s : sets) f.pack(s);  // pass 1: cold
-  EXPECT_EQ(f.cache.cold_misses.get(), 5);
-  EXPECT_EQ(f.cache.capacity_misses.get(), 0);
-  EXPECT_EQ(f.cache.evictions.get(), 1);  // the 5th insert evicted set 0
-  for (const auto& s : sets) f.pack(s);  // pass 2: pure thrash
-  EXPECT_EQ(f.cache.hits.get(), 0);
-  EXPECT_EQ(f.cache.cold_misses.get(), 5);
-  EXPECT_EQ(f.cache.capacity_misses.get(), 5);
-  EXPECT_EQ(f.cache.misses.get(), 10);
-}
-
-TEST(Int8Quant, PanelCacheKeySeparatesInt8FromF32) {
-  CacheFixture f;
-  const std::vector<int> ch = {0, 2, 4};
-  f.pack(ch);  // f32 panel
-  const nn::Int8Panel p =
-      nn::pack_weight_panel_i8(f.qw, CacheFixture::kKk, ch, f.all_out,
-                               f.cache);
-  ASSERT_NE(p.panel, nullptr);
-  ASSERT_NE(p.wsum, nullptr);
-  ASSERT_NE(p.scale, nullptr);
-  // Same kept sets, different regime: a distinct entry, not a false hit.
-  EXPECT_EQ(f.cache.hits.get(), 0);
-  EXPECT_EQ(f.cache.misses.get(), 2);
-  // Second int8 pack of the same sets hits.
-  nn::pack_weight_panel_i8(f.qw, CacheFixture::kKk, ch, f.all_out, f.cache);
-  EXPECT_EQ(f.cache.hits.get(), 1);
-}
+// --- kept-filter panels ----------------------------------------------------
 
 TEST(Int8Quant, FullSetPanelIsTheQuantizedWeightsByteForByte) {
   // Keep-all groups read Int8ConvWeights in place instead of packing, which

@@ -397,41 +397,6 @@ TEST(InferencePlan, GroupedArenaStaysExactWithZeroGrowthsFromFirstForward) {
   }
 }
 
-TEST(InferencePlan, WeightPackCacheHitsOnRepeatedAndStaticMasks) {
-  // Static filter masks repeat every pass, so after the first pack the
-  // kept-filter weight panel must come from the cross-pass cache (100%
-  // hit rate), and repeated identical dynamic masks hit it too.
-  const Case c{"small_cnn", 16, 1.0f};
-  auto net = build(c);
-  Rng rng(31);
-  Tensor x = Tensor::randn({2, 3, c.image, c.image}, rng);
-  auto masks = [] {
-    nn::ConvRuntimeMask m;
-    m.out_channels = {0, 2, 5};
-    return std::vector<nn::ConvRuntimeMask>(2, m);
-  };
-  auto* consumer = dynamic_cast<models::SmallCnn*>(net.get());
-  ASSERT_NE(consumer, nullptr);
-
-  nn::ExecutionContext ctx;
-  consumer->conv(1)->set_runtime_masks(masks());
-  ctx.begin_pass();
-  const Tensor first = net->forward(x, ctx).clone();
-  plan::InferencePlan* plan = net->current_plan();
-  ASSERT_NE(plan, nullptr);
-  const int64_t misses_after_first = plan->pack_cache_misses();
-  EXPECT_GE(misses_after_first, 1);  // the first pass packed the panel
-  EXPECT_EQ(plan->pack_cache_hits(), 0);
-
-  consumer->conv(1)->set_runtime_masks(masks());
-  ctx.begin_pass();
-  const Tensor second = net->forward(x, ctx).clone();
-  EXPECT_TRUE(bitwise_equal(first, second));
-  // Same kept set again: served from the cache, no repack.
-  EXPECT_EQ(plan->pack_cache_misses(), misses_after_first);
-  EXPECT_GE(plan->pack_cache_hits(), 1);
-}
-
 TEST(InferencePlan, StaticFilterMasksFlowThroughFusedSteps) {
   // The static-pruning path installs ConvRuntimeMasks directly (no gate);
   // the plan's fused conv steps must consume them like Conv2d::forward.

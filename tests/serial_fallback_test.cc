@@ -1,9 +1,9 @@
 // ANTIDOTE_THREADS=1 path: with a single compute thread (forced before
 // the lazily created global pool can exist) the pool holds zero workers,
 // every parallel_for runs inline, the nested-dispatch guard never
-// engages, and the plan executor keeps the sequential group loop with the
-// cross-pass weight-panel cache — all regardless of the host's core
-// count. Masked grouped output must still match the module walk bitwise.
+// engages, and the plan executor runs every mask group inline on the
+// owner's arena — all regardless of the host's core count. Masked grouped
+// output must still match the module walk bitwise.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

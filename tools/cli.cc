@@ -360,7 +360,7 @@ void add_trace_flags(FlagSet& flags) {
 
 // Runs `passes` plan forwards of a batch assembled from `distinct` unique
 // images (one warm-up pass first, then Tracer::clear(), so the recorded
-// passes see warmed caches and a reserved arena). Returns the plan.
+// passes see warm CPU caches and a reserved arena). Returns the plan.
 plan::InferencePlan& run_traced_passes(models::ConvNet& net, int image_size,
                                        int batch, int distinct, int passes,
                                        uint64_t seed) {
@@ -495,15 +495,6 @@ void print_profile_report(const plan::InferencePlan& plan, int passes) {
           counters, s.active_slots, spread);
     }
   }
-  std::printf(
-      "pack cache: %lld hits / %lld misses (%lld cold, %lld capacity) / "
-      "%lld evictions / %lld bypassed (parallel groups)\n",
-      static_cast<long long>(plan.pack_cache_hits()),
-      static_cast<long long>(plan.pack_cache_misses()),
-      static_cast<long long>(plan.pack_cache_cold_misses()),
-      static_cast<long long>(plan.pack_cache_capacity_misses()),
-      static_cast<long long>(plan.pack_cache_evictions()),
-      static_cast<long long>(plan.pack_cache_bypass()));
 }
 
 // Per-op union-coarsening decisions of the plan's most recent pass, plus a
