@@ -1,7 +1,6 @@
-// Shared main() body for the google-benchmark micro benches: defaults the
-// run to machine-readable JSON output (BENCH_*.json) unless the caller
-// already passed --benchmark_out, so the perf trajectory is tracked
-// across PRs without extra flags.
+// main() body for the google-benchmark per-kernel bench (micro_kernels):
+// defaults the run to machine-readable JSON output (BENCH_kernels.json)
+// unless the caller already passed --benchmark_out.
 //
 // The JSON is published ATOMICALLY: the run writes to <out>.tmp and only
 // renames it over the final path after verifying the file is non-empty
@@ -28,8 +27,8 @@
 
 namespace antidote::bench {
 
-// Run-metadata JSON object shared by every BENCH_*.json: schema version
-// (bump kBenchSchemaVersion when a bench's fields change meaning), the
+// Run-metadata JSON object of BENCH_kernels.json: schema version (bump
+// kBenchSchemaVersion when the bench's fields change meaning), the
 // build's `git describe`, the thread count the pool actually uses and the
 // SIMD ISA the kernels were compiled for. Downstream tooling can refuse
 // to diff runs whose meta blocks disagree.
@@ -45,12 +44,10 @@ inline std::string bench_meta_json() {
   return os.str();
 }
 
-// Splices `"meta": {...}` (plus an optional extra top-level fragment,
-// e.g. "\"serving\": {...}") immediately after the opening `{` of the
+// Splices `"meta": {...}` immediately after the opening `{` of the
 // google-benchmark JSON document at `path`. Returns false when the file
 // can't be read back or doesn't open with `{`.
-inline bool inject_meta_json(const std::string& path,
-                             const std::string& extra_fragment) {
+inline bool inject_meta_json(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   std::stringstream buf;
@@ -59,9 +56,7 @@ inline bool inject_meta_json(const std::string& path,
   in.close();
   const size_t brace = doc.find('{');
   if (brace == std::string::npos) return false;
-  std::string insert = "\n  \"meta\": " + bench_meta_json() + ",";
-  if (!extra_fragment.empty()) insert += "\n  " + extra_fragment + ",";
-  doc.insert(brace + 1, insert);
+  doc.insert(brace + 1, "\n  \"meta\": " + bench_meta_json() + ",");
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   out << doc;
@@ -114,11 +109,7 @@ inline bool publish_json_atomically(const std::string& tmp_path,
   return true;
 }
 
-// `extra_json_fragment`, when non-empty, is a `"key": {...}` fragment
-// spliced into the document top level next to the "meta" block (used by
-// micro_e2e to attach the serving-percentile smoke results).
-inline int run_benchmarks(int argc, char** argv, const char* default_out,
-                          const std::string& extra_json_fragment = "") {
+inline int run_benchmarks(int argc, char** argv, const char* default_out) {
   std::vector<char*> args(argv, argv + argc);
   const std::string tmp_path = std::string(default_out) + ".tmp";
   std::string out_flag = "--benchmark_out=" + tmp_path;
@@ -136,7 +127,7 @@ inline int run_benchmarks(int argc, char** argv, const char* default_out,
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!has_out) {
-    if (!inject_meta_json(tmp_path, extra_json_fragment)) {
+    if (!inject_meta_json(tmp_path)) {
       std::fprintf(stderr,
                    "ERROR: could not inject run metadata into %s\n",
                    tmp_path.c_str());

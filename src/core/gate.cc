@@ -29,7 +29,31 @@ void AttentionGate::set_ratios(float channel_drop, float spatial_drop) {
 
 namespace {
 float sigmoid(float v) { return 1.f / (1.f + std::exp(-v)); }
+
+// True when `t` holds at least shape[0] rows of the trailing dims of
+// `shape`.
+bool holds_rows(const Tensor& t, Shape shape) {
+  if (t.ndim() != static_cast<int>(shape.size()) || t.dim(0) < shape[0]) {
+    return false;
+  }
+  shape[0] = t.dim(0);
+  return t.shape() == shape;
+}
+
+// The first `rows` rows of `t`; all of it when it has no more, or when
+// `rows` is 0 (an identity pass leaves the last attention in place).
+Tensor leading_rows(const Tensor& t, int rows) {
+  return t.empty() || rows == 0 || t.dim(0) <= rows ? t : t.first_rows(rows);
+}
 }  // namespace
+
+Tensor AttentionGate::last_channel_attention() const {
+  return leading_rows(last_ch_att_, stats_.samples);
+}
+
+Tensor AttentionGate::last_spatial_attention() const {
+  return leading_rows(last_sp_att_, stats_.samples);
+}
 
 Tensor AttentionGate::forward_soft(const Tensor& x) {
   // SENet-style reweighting: out = x * sigmoid(A_channel) * sigmoid(A_spatial)
@@ -71,9 +95,9 @@ Tensor AttentionGate::forward(const Tensor& x) {
   const bool prune_channels = config_.channel_drop > 0.f;
   const bool prune_spatial = config_.spatial_drop > 0.f;
   if (!enabled_ || (!prune_channels && !prune_spatial)) {
-    // Exact identity; clear per-pass state so stale masks never leak.
+    // Exact identity; reset per-pass state (zero samples exposes no masks)
+    // so stale masks never leak.
     stats_ = Stats{};
-    last_masks_.clear();
     cached_mask_ = Tensor();
     return x;
   }
@@ -170,11 +194,11 @@ AttentionGate::AttentionOut AttentionGate::attention_out(int n, int c, int h,
                                                          int w) {
   AttentionOut out;
   if (config_.channel_drop > 0.f) {
-    if (!(last_ch_att_.shape() == Shape{n, c})) last_ch_att_ = Tensor({n, c});
+    if (!holds_rows(last_ch_att_, {n, c})) last_ch_att_ = Tensor({n, c});
     out.channel = last_ch_att_.data();
   }
   if (config_.spatial_drop > 0.f) {
-    if (!(last_sp_att_.shape() == Shape{n, h, w})) {
+    if (!holds_rows(last_sp_att_, {n, h, w})) {
       last_sp_att_ = Tensor({n, h, w});
     }
     out.spatial = last_sp_att_.data();
@@ -189,20 +213,21 @@ void AttentionGate::mask_in_place(Tensor& x) {
   const int hw = h * w;
   const bool prune_channels = config_.channel_drop > 0.f;
   const bool prune_spatial = config_.spatial_drop > 0.f;
-  const bool ch_sized = last_ch_att_.shape() == Shape{n, c};
-  const bool sp_sized = last_sp_att_.shape() == Shape{n, h, w};
-  AD_CHECK(!prune_channels || ch_sized)
+  AD_CHECK(!prune_channels || holds_rows(last_ch_att_, {n, c}))
       << " channel attention not written for this map";
-  AD_CHECK(!prune_spatial || sp_sized)
+  AD_CHECK(!prune_spatial || holds_rows(last_sp_att_, {n, h, w}))
       << " spatial attention not written for this map";
 
   stats_ = Stats{};
   stats_.samples = n;
   stats_.channels = c;
   stats_.positions = hw;
-  // resize (not assign) keeps each element's vectors and their capacity;
-  // every field is rewritten or cleared below.
-  last_masks_.resize(static_cast<size_t>(n));
+  // Grow-only (never assign or shrink): each element keeps its vectors and
+  // their capacity across batch sizes; every field of the first n is
+  // rewritten or cleared below.
+  if (last_masks_.size() < static_cast<size_t>(n)) {
+    last_masks_.resize(static_cast<size_t>(n));
+  }
   cached_mask_ = Tensor();  // inference: no backward cache
   masked_in_place_ = true;
 
@@ -267,19 +292,21 @@ void AttentionGate::mask_in_place(Tensor& x) {
 
   if (forward_to_consumer_ && consumer_ != nullptr) {
     if (spatially_aligned_) {
-      consumer_->set_runtime_masks(
-          std::span<const nn::ConvRuntimeMask>(last_masks_));
+      consumer_->set_runtime_masks(last_masks());
     } else {
       // Positions cannot be skipped downstream; strip them into the
-      // reusable staging vector first.
-      runtime_scratch_.resize(last_masks_.size());
-      for (size_t i = 0; i < last_masks_.size(); ++i) {
-        runtime_scratch_[i].channels = last_masks_[i].channels;
-        runtime_scratch_[i].positions.clear();
-        runtime_scratch_[i].out_channels.clear();
+      // reusable, grow-only staging vector first.
+      if (runtime_scratch_.size() < static_cast<size_t>(n)) {
+        runtime_scratch_.resize(static_cast<size_t>(n));
       }
-      consumer_->set_runtime_masks(
-          std::span<const nn::ConvRuntimeMask>(runtime_scratch_));
+      for (int b = 0; b < n; ++b) {
+        nn::ConvRuntimeMask& m = runtime_scratch_[static_cast<size_t>(b)];
+        m.channels = last_masks_[static_cast<size_t>(b)].channels;
+        m.positions.clear();
+        m.out_channels.clear();
+      }
+      consumer_->set_runtime_masks(std::span<const nn::ConvRuntimeMask>(
+          runtime_scratch_.data(), static_cast<size_t>(n)));
     }
   }
 }

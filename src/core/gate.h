@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/rng.h"
@@ -92,7 +93,8 @@ class AttentionGate : public nn::Gate {
   // map: the channel means [n, c] (ops::channel_mean_nchw_into's values)
   // when channels are pruned and the spatial means [n, h*w]
   // (ops::spatial_mean_nchw's) when positions are; a half that is not
-  // pruned is null. Sizes the attention tensors, reusing their storage.
+  // pruned is null. Sizes the attention tensors, which only grow: a smaller
+  // batch reuses the storage of a larger one.
   struct AttentionOut {
     float* channel = nullptr;
     float* spatial = nullptr;
@@ -114,12 +116,13 @@ class AttentionGate : public nn::Gate {
   };
   const Stats& last_stats() const { return stats_; }
   // Per-sample keep sets of the last forward (empty halves = kept all).
-  const std::vector<nn::ConvRuntimeMask>& last_masks() const {
-    return last_masks_;
+  std::span<const nn::ConvRuntimeMask> last_masks() const {
+    return {last_masks_.data(), static_cast<size_t>(stats_.samples)};
   }
-  // Per-sample attention vectors of the last forward, for visualization.
-  const Tensor& last_channel_attention() const { return last_ch_att_; }
-  const Tensor& last_spatial_attention() const { return last_sp_att_; }
+  // Per-sample attention vectors of the last forward, for visualization:
+  // [n, c] and [n, h, w] views of the gate's attention storage.
+  Tensor last_channel_attention() const;
+  Tensor last_spatial_attention() const;
 
  private:
   Tensor forward_soft(const Tensor& x);
@@ -131,6 +134,9 @@ class AttentionGate : public nn::Gate {
   bool forward_to_consumer_ = true;
   Rng rng_;
 
+  // Per-pass results. The in-place pass only grows the masks and the
+  // attention, so they may hold entries past the last batch; the first
+  // stats_.samples are this pass's.
   Stats stats_;
   std::vector<nn::ConvRuntimeMask> last_masks_;
   Tensor last_ch_att_;

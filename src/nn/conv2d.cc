@@ -80,7 +80,7 @@ void Conv2d::check_masks(std::span<const ConvRuntimeMask> masks) const {
 void Conv2d::set_runtime_masks(std::vector<ConvRuntimeMask> masks) {
   check_masks(masks);
   pending_masks_ = std::move(masks);
-  masks_pending_ = !pending_masks_.empty();
+  pending_count_ = pending_masks_.size();
 }
 
 void Conv2d::set_runtime_masks(std::span<const ConvRuntimeMask> masks) {
@@ -88,26 +88,25 @@ void Conv2d::set_runtime_masks(std::span<const ConvRuntimeMask> masks) {
   // Element-wise copy-assign into the warm storage left behind by earlier
   // passes (not vector::assign, whose capacity reuse for the elements'
   // inner vectors is an implementation detail): each index vector keeps
-  // its capacity, so a steady-shape serving loop stops allocating here
-  // after the first few passes.
-  const size_t keep = std::min(pending_masks_.size(), masks.size());
-  for (size_t i = 0; i < keep; ++i) pending_masks_[i] = masks[i];
-  if (masks.size() > keep) {
-    pending_masks_.insert(pending_masks_.end(), masks.begin() + keep,
-                          masks.end());
-  } else {
+  // its capacity. A smaller batch leaves the trailing elements in place,
+  // so a serving loop stops allocating here once each of its batch sizes
+  // has run.
+  if (pending_masks_.size() < masks.size()) {
     pending_masks_.resize(masks.size());
   }
-  masks_pending_ = !pending_masks_.empty();
+  std::copy(masks.begin(), masks.end(), pending_masks_.begin());
+  pending_count_ = masks.size();
 }
 
 std::span<const ConvRuntimeMask> Conv2d::take_runtime_masks() {
-  if (!masks_pending_) return {};
-  // Same swap-through-a-member consumption as forward(): both vectors'
-  // elements stay alive as warm storage across passes.
+  const size_t n = pending_count_;
+  if (n == 0) return {};
+  // Swapping through a member (instead of a local, and without clear()ing
+  // either side) keeps both vectors' elements alive as warm storage across
+  // passes.
   active_masks_.swap(pending_masks_);
-  masks_pending_ = false;
-  return std::span<const ConvRuntimeMask>(active_masks_);
+  pending_count_ = 0;
+  return std::span<const ConvRuntimeMask>(active_masks_.data(), n);
 }
 
 void Conv2d::note_external_execution(int64_t macs, bool masked) {
@@ -119,16 +118,13 @@ void Conv2d::note_external_execution(int64_t macs, bool masked) {
 Tensor Conv2d::forward(const Tensor& x) {
   AD_CHECK_EQ(x.ndim(), 4) << " Conv2d expects NCHW, got " << x.shape_str();
   AD_CHECK_EQ(x.dim(1), in_c_) << " Conv2d input channels";
-  if (masks_pending_) {
-    // Consume: masks apply to this pass only. Swapping through a member
-    // (instead of a local, and without clear()ing either side) keeps both
-    // vectors' elements alive as warm storage across passes.
-    active_masks_.swap(pending_masks_);
-    masks_pending_ = false;
-    AD_CHECK_EQ(static_cast<int>(active_masks_.size()), x.dim(0))
+  if (pending_count_ > 0) {
+    // Consume: masks apply to this pass only.
+    const std::span<const ConvRuntimeMask> masks = take_runtime_masks();
+    AD_CHECK_EQ(static_cast<int>(masks.size()), x.dim(0))
         << " runtime mask count vs batch size";
     last_forward_was_masked_ = true;
-    return forward_masked(x, active_masks_);
+    return forward_masked(x, masks);
   }
   last_forward_was_masked_ = false;
   return forward_dense(x);
@@ -161,7 +157,7 @@ Tensor Conv2d::forward_dense(const Tensor& x) {
 }
 
 Tensor Conv2d::forward_masked(const Tensor& x,
-                              const std::vector<ConvRuntimeMask>& masks) {
+                              std::span<const ConvRuntimeMask> masks) {
   const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
   ConvGeom g{in_c_, h, w, k_, k_, stride_, pad_};
   g.validate();

@@ -63,10 +63,10 @@ class Conv2d : public Module {
   // masked forward is not supported (masking is a test-phase mechanism).
   void set_runtime_masks(std::vector<ConvRuntimeMask> masks);
   // Borrowing variant for the hot path: copies the masks into internal
-  // storage whose capacity is reused across passes, so steady-state
-  // serving does not allocate per pass.
+  // storage that only grows, so serving stops allocating here once each
+  // of its batch sizes has run.
   void set_runtime_masks(std::span<const ConvRuntimeMask> masks);
-  bool has_pending_masks() const { return masks_pending_; }
+  bool has_pending_masks() const { return pending_count_ > 0; }
 
   // --- plan-executor interface ---
   // Consumes the pending per-sample masks exactly as a forward pass would
@@ -98,7 +98,7 @@ class Conv2d : public Module {
   void check_masks(std::span<const ConvRuntimeMask> masks) const;
   Tensor forward_dense(const Tensor& x);
   Tensor forward_masked(const Tensor& x,
-                        const std::vector<ConvRuntimeMask>& masks);
+                        std::span<const ConvRuntimeMask> masks);
 
   int in_c_, out_c_, k_, stride_, pad_;
   bool has_bias_;
@@ -106,12 +106,13 @@ class Conv2d : public Module {
   Parameter bias_;    // [out_c] (unused when has_bias_ == false)
 
   // pending/active ping-pong: set_runtime_masks fills pending, the next
-  // forward swaps it into active. Neither vector is ever clear()ed — stale
-  // elements stay behind as warm storage so the per-pass copy-assign
-  // reuses their inner vectors' capacity (masks_pending_ tracks validity).
+  // forward swaps it into active. Neither vector ever shrinks — stale
+  // elements, including those past a smaller batch, stay behind as warm
+  // storage so the per-pass copy-assign reuses their inner vectors'
+  // capacity (pending_count_ counts the valid leading pending elements).
   std::vector<ConvRuntimeMask> pending_masks_;
   std::vector<ConvRuntimeMask> active_masks_;
-  bool masks_pending_ = false;
+  size_t pending_count_ = 0;
   bool last_forward_was_masked_ = false;
   Tensor cached_input_;  // for backward
   int64_t last_macs_ = 0;

@@ -187,6 +187,17 @@ Tensor Tensor::reshape(Shape new_shape) const {
   return view;
 }
 
+Tensor Tensor::first_rows(int rows) const {
+  AD_CHECK(ndim() > 0 && rows > 0 && rows <= shape_[0])
+      << " first_rows(" << rows << ") of " << shape_str();
+  Tensor view;
+  view.shape_ = shape_;
+  view.shape_[0] = rows;
+  view.size_ = size_ / shape_[0] * rows;
+  view.data_ = data_;
+  return view;
+}
+
 Tensor Tensor::clone() const {
   Tensor copy;
   copy.shape_ = shape_;

@@ -118,6 +118,9 @@ class Tensor {
   // --- shape manipulation ---
   // View with a new shape; one dim may be -1 (inferred). Shares storage.
   Tensor reshape(Shape new_shape) const;
+  // View of the first `rows` entries along dim 0 (0 < rows <= dim(0)).
+  // Shares storage.
+  Tensor first_rows(int rows) const;
   // Deep copy.
   Tensor clone() const;
 

@@ -759,7 +759,7 @@ TEST(CoarsenE2E, Int8CoarsenedPassZeroGrowthWithinAccuracyBudget) {
   }
   EXPECT_EQ(plan.last_mask_groups_raw(), E2ERig::kBatch);
   EXPECT_LE(plan.last_mask_groups(), plan.last_mask_groups_raw());
-  // Same relative accuracy budget as the int8 plan tests / micro_e2e gate.
+  // Same relative accuracy budget as the int8 plan test in int8_quant_test.
   ASSERT_TRUE(plain.same_shape(last));
   double max_diff = 0.0, max_ref = 0.0;
   for (int64_t i = 0; i < plain.size(); ++i) {

@@ -1,10 +1,12 @@
 // Int8 regime semantics above the kernel layer: quantize -> dequantize
 // round-trip error bounds, zero-row and clamp edge cases, the full-set
-// int8 panel equalling the quantized weights, and an end-to-end
-// small-plan check: int8 logits stay close to f32 and a reserved arena
-// executes the int8 regime with zero growths.
+// int8 panel equalling the quantized weights, and an end-to-end plan check
+// on vgg16, resnet56 and small_cnn: int8 logits stay within a relative
+// budget of f32 with top-1 agreement, and a reserved arena executes the
+// int8 regime with zero growths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -150,45 +152,68 @@ TEST(Int8Quant, FullSetPanelIsTheQuantizedWeightsByteForByte) {
 // --- plan-level regime ------------------------------------------------------
 
 TEST(Int8Quant, Int8PlanStaysCloseToF32WithZeroGrowthsReserved) {
-  Rng rng(65);
-  auto net = models::make_model("small_cnn", 10, 1.0f, rng);
-  net->set_training(false);
-  const int batch = 4;
-  Tensor x = Tensor::randn({batch, 3, 16, 16}, rng);
+  // Every tier-1 family at width 0.25, 32x32, batch 16. The logit deviation
+  // is relative to the largest f32 logit: logit scale varies by orders of
+  // magnitude across the families (random-init resnet56's residual stacking
+  // gives ~1e4-scale logits where vgg16 sits near 1), so no absolute budget
+  // covers all three. Measured: relative deviation 3.5e-2 / 1.4e-2 / 5.7e-3
+  // and top-1 agreement 0.94 / 1.00 / 1.00 for vgg16 / resnet56 /
+  // small_cnn; the flips are near-ties of a random-init head. A real int8
+  // kernel defect (wrong accumulator quad, bad wsum correction) lands far
+  // outside both budgets.
+  const int batch = 16, image = 32;
+  for (const char* model : {"vgg16", "resnet56", "small_cnn"}) {
+    Rng rng(9);
+    auto net = models::make_model(model, 10, 0.25f, rng);
+    net->set_training(false);
+    Rng data_rng(14);
+    Tensor x = Tensor::randn({batch, 3, image, image}, data_rng);
 
-  nn::ExecutionContext ctx;
-  ctx.begin_pass();
-  const Tensor f32_y = net->forward(x, ctx).clone();
+    nn::ExecutionContext ctx;
+    ctx.begin_pass();
+    const Tensor f32_y = net->forward(x, ctx).clone();
 
-  net->set_numeric_regime(plan::NumericRegime::kInt8);
-  plan::InferencePlan& plan = net->inference_plan(3, 16, 16);
-  EXPECT_EQ(plan.regime(), plan::NumericRegime::kInt8);
-  // Fresh context: reserve ahead of the first pass, like a serving
-  // replica would (the old context's lazily-grown arena coalesces on
-  // begin_pass, which counts as a growth and would muddy the assertion).
-  nn::ExecutionContext i8_ctx;
-  plan.reserve(i8_ctx.workspace(), batch);
-  const int64_t grows = i8_ctx.workspace().grow_count();
+    net->set_numeric_regime(plan::NumericRegime::kInt8);
+    plan::InferencePlan& plan = net->inference_plan(3, image, image);
+    EXPECT_EQ(plan.regime(), plan::NumericRegime::kInt8) << model;
+    // Fresh context: reserve ahead of the first pass, like a serving
+    // replica would (the old context's lazily-grown arena coalesces on
+    // begin_pass, which counts as a growth and would muddy the assertion).
+    nn::ExecutionContext i8_ctx;
+    plan.reserve(i8_ctx.workspace(), batch);
+    const int64_t grows = i8_ctx.workspace().grow_count();
 
-  i8_ctx.begin_pass();
-  Tensor staged = i8_ctx.alloc(x.shape());
-  std::memcpy(staged.data(), x.data(),
-              static_cast<size_t>(x.size()) * sizeof(float));
-  const Tensor i8_y = net->forward(staged, i8_ctx);
-  EXPECT_EQ(i8_ctx.workspace().grow_count(), grows);
+    i8_ctx.begin_pass();
+    Tensor staged = i8_ctx.alloc(x.shape());
+    std::memcpy(staged.data(), x.data(),
+                static_cast<size_t>(x.size()) * sizeof(float));
+    const Tensor i8_y = net->forward(staged, i8_ctx);
+    EXPECT_EQ(i8_ctx.workspace().grow_count(), grows) << model;
 
-  ASSERT_TRUE(f32_y.same_shape(i8_y));
-  double max_diff = 0.0, max_ref = 0.0;
-  for (int64_t i = 0; i < f32_y.size(); ++i) {
-    max_diff = std::max(max_diff, std::abs(double(f32_y[i]) - i8_y[i]));
-    max_ref = std::max(max_ref, std::abs(double(f32_y[i])));
+    ASSERT_TRUE(f32_y.same_shape(i8_y)) << model;
+    const int classes = f32_y.dim(1);
+    double max_diff = 0.0, max_ref = 0.0;
+    int agree = 0;
+    for (int b = 0; b < batch; ++b) {
+      const float* fr = f32_y.data() + static_cast<int64_t>(b) * classes;
+      const float* qr = i8_y.data() + static_cast<int64_t>(b) * classes;
+      int f_arg = 0, q_arg = 0;
+      for (int k = 0; k < classes; ++k) {
+        max_diff = std::max(max_diff, std::abs(double(fr[k]) - qr[k]));
+        max_ref = std::max(max_ref, std::abs(double(fr[k])));
+        if (fr[k] > fr[f_arg]) f_arg = k;
+        if (qr[k] > qr[q_arg]) q_arg = k;
+      }
+      agree += f_arg == q_arg ? 1 : 0;
+    }
+    EXPECT_GT(max_ref, 0.0) << model;
+    EXPECT_LE(max_diff / max_ref, 0.05) << model;
+    EXPECT_GE(static_cast<double>(agree) / batch, 0.85) << model;
+    // And the regime is sticky across plan refetches.
+    EXPECT_EQ(net->inference_plan(3, image, image).regime(),
+              plan::NumericRegime::kInt8)
+        << model;
   }
-  // Same relative budget as the micro_e2e accuracy gate.
-  EXPECT_GT(max_ref, 0.0);
-  EXPECT_LE(max_diff / max_ref, 0.05);
-  // And the regime is sticky across plan refetches.
-  EXPECT_EQ(net->inference_plan(3, 16, 16).regime(),
-            plan::NumericRegime::kInt8);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // module walk (dense and masked, bitwise), exact ahead-of-time
 // arena sizing (zero growths from the very first context forward), masked
 // execution through the fused conv steps for all three model families,
-// plan invalidation, and the cost-model metadata the serving controller
-// consumes.
+// compute-cap semantics, spatial tiling, plan invalidation, and the
+// cost-model metadata the serving controller consumes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -164,12 +164,14 @@ TEST(InferencePlan, MaskedExecutionThroughFusedStepsMatchesModuleWalk) {
       // executes superset MACs (covered by tests/coarsen_test.cc).
       planned->set_coarsen_policy({plan::CoarsenMode::kOff, 1.0});
 
+      // The batch shrinks and grows back: the gates' storage only grows,
+      // and must expose exactly the current batch's masks and attention.
       Rng rng(5);
       nn::ExecutionContext ctx;
-      for (int pass = 0; pass < 2; ++pass) {
+      for (const int batch : {3, 2, 3}) {
         const std::string where = std::string(c.model) + " " + v.name +
-                                  " pass " + std::to_string(pass);
-        Tensor x = Tensor::randn({3, 3, c.image, c.image}, rng);
+                                  " batch " + std::to_string(batch);
+        Tensor x = Tensor::randn({batch, 3, c.image, c.image}, rng);
         const Tensor plain = walk->forward(x);
         const int64_t module_macs = walk->last_macs();
 
@@ -536,6 +538,40 @@ TEST(InferencePlan, ArenaBytesScaleWithBatchAndCoverEveryBatchSize) {
   }
 }
 
+TEST(InferencePlan, ComputeCapBitwiseWhenSlackAndCapsEverySampleWhenBound) {
+  // Channel-only drops of 0.3: every masked sample keeps about 0.7 of each
+  // gated conv step's MACs, so a 0.9 cap never binds and a 0.4 cap always
+  // does. A cap that binds no sample hands the original masks through
+  // untouched, so the plan stays bitwise equal to the uncapped plan.
+  const int batch = 4;
+  const Case c{"small_cnn", 32, 0.25f};
+  auto net = build(c, /*seed=*/9);
+  core::DynamicPruningEngine engine(
+      *net, core::PruneSettings::uniform(net->num_blocks(), 0.3f, 0.f));
+  Rng rng(33);
+  Tensor x = Tensor::randn({batch, 3, c.image, c.image}, rng);
+  plan::InferencePlan& plan = net->inference_plan(3, c.image, c.image);
+  nn::ExecutionContext ctx;
+  plan.reserve(ctx.workspace(), batch);
+  auto run_once = [&] {
+    ctx.begin_pass();
+    Tensor staged = ctx.alloc(x.shape());
+    std::memcpy(staged.data(), x.data(),
+                static_cast<size_t>(x.size()) * sizeof(float));
+    return net->forward(staged, ctx);
+  };
+
+  const Tensor uncapped = run_once().clone();
+  EXPECT_EQ(plan.last_capped_samples(), 0);
+  net->set_compute_cap(0.9);
+  EXPECT_TRUE(bitwise_equal(uncapped, run_once())) << "cap 0.9";
+  EXPECT_EQ(plan.last_capped_samples(), 0) << "cap 0.9";
+  net->set_compute_cap(0.4);
+  run_once();
+  EXPECT_EQ(plan.last_capped_samples(), batch) << "cap 0.4";
+  engine.remove();
+}
+
 // --- spatially-tiled lowering ------------------------------------------------
 
 TEST(InferencePlan, ForcedTileBitwiseAndZeroGrowthsAcrossModels) {
@@ -656,6 +692,19 @@ TEST(InferencePlan, TiledArenaExactAt224InBothRegimes) {
   EXPECT_TRUE(tiled) << "auto tiling must engage at 224x224";
   EXPECT_LT(plan.arena_bytes(batch), untiled_arena)
       << "tiled arena must undercut the untiled arena";
+  // The tiled arena grows sub-linearly in output positions: from 32x32 to
+  // 224x224 (49x the positions) it grows at most half as fast. What grows
+  // is mostly the activations themselves.
+  {
+    auto low_res = build({"small_cnn", 32, 1.0f});
+    low_res->set_tile_policy({plan::TileMode::kAuto, 0});
+    const double arena_ratio =
+        static_cast<double>(plan.arena_bytes(batch)) /
+        static_cast<double>(
+            low_res->inference_plan(3, 32, 32).arena_bytes(batch));
+    EXPECT_LE(arena_ratio, 0.5 * (224.0 * 224.0) / (32.0 * 32.0))
+        << "tiled arena 224 vs 32";
+  }
 
   for (const plan::NumericRegime regime :
        {plan::NumericRegime::kF32, plan::NumericRegime::kInt8}) {

@@ -71,6 +71,19 @@ TEST(Tensor, ReshapeRejectsBadSizes) {
   EXPECT_THROW(a.reshape({-1, -1}), Error);
 }
 
+TEST(Tensor, FirstRowsSharesStorageAndRejectsBadCounts) {
+  Tensor a({4, 2, 3});
+  a.at({1, 1, 2}) = 5.f;
+  Tensor b = a.first_rows(2);
+  EXPECT_EQ(b.shape(), (std::vector<int>{2, 2, 3}));
+  EXPECT_EQ(b.size(), 12);
+  EXPECT_TRUE(a.shares_storage(b));
+  EXPECT_EQ(b.at({1, 1, 2}), 5.f);
+  EXPECT_THROW(a.first_rows(0), Error);
+  EXPECT_THROW(a.first_rows(5), Error);
+  EXPECT_THROW(Tensor().first_rows(1), Error);
+}
+
 TEST(Tensor, FromValues) {
   Tensor t = Tensor::from_values({2, 2}, {1.f, 2.f, 3.f, 4.f});
   EXPECT_EQ(t.at({1, 0}), 3.f);
