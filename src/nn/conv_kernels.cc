@@ -943,16 +943,35 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
   // The channel path allocates its buffers at the full-tile group width
   // gs * tile; untiled is one tile of gs * pos.
   const int64_t ldc = static_cast<int64_t>(gs) * (tiled ? tile : pos);
-  // F32 channel/filter path with full index sets: the kept-filter panel
-  // (a group that drops nothing packs none, so the full weight size bounds
-  // it), the lowered tile, y_sub and the GEMM's panels.
-  size_t channel_path =
-      Workspace::align_up(static_cast<size_t>(out_c) * patch * sizeof(float)) +
-      Workspace::align_up(static_cast<size_t>(patch) * ldc * sizeof(float)) +
-      Workspace::align_up(static_cast<size_t>(out_c) * ldc * sizeof(float)) +
-      gemm_nn_scratch_bytes(out_c, static_cast<int>(ldc),
-                            static_cast<int>(patch));
-  size_t worst = channel_path;
+  // Channel/filter path with full index sets, in the one form the regime
+  // runs (the int8 path allocates none of the f32 path's buffers). The
+  // kept-filter panel is packed only by a group that drops something, so
+  // the full weight size bounds it.
+  size_t worst = 0;
+  if (int8_regime) {
+    // Int8: the int8 panel with its wsum and scale, every member's
+    // quantized input planes, one u8 operand tile and the dequantized y_sub
+    // (no GEMM pack panels).
+    worst =
+        Workspace::align_up(static_cast<size_t>(out_c) *
+                            int8_align4(patch)) +
+        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(int32_t)) +
+        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(float)) +
+        Workspace::align_up(static_cast<size_t>(
+            static_cast<int64_t>(gs) * g.in_c * padded_plane_bytes(g))) +
+        Workspace::align_up(static_cast<size_t>(int8_align4(patch)) * ldc) +
+        Workspace::align_up(static_cast<size_t>(out_c) * ldc *
+                            sizeof(float));
+  } else {
+    // F32: the panel, the lowered tile, y_sub and the GEMM's panels.
+    worst =
+        Workspace::align_up(static_cast<size_t>(out_c) * patch *
+                            sizeof(float)) +
+        Workspace::align_up(static_cast<size_t>(patch) * ldc * sizeof(float)) +
+        Workspace::align_up(static_cast<size_t>(out_c) * ldc * sizeof(float)) +
+        gemm_nn_scratch_bytes(out_c, static_cast<int>(ldc),
+                              static_cast<int>(patch));
+  }
   if (spatial_masks && g.stride == 1 && g.out_h() == g.in_h &&
       g.out_w() == g.in_w) {
     // Fused spatial path with every position kept: the gathered column
@@ -972,22 +991,6 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
         Workspace::align_up(static_cast<size_t>(tile_rows) * sh.ld() *
                             sizeof(float));
     worst = std::max(worst, spatial_path);
-  }
-  if (int8_regime) {
-    // Int8 channel path: the int8 panel with its wsum and scale, every
-    // member's quantized input planes, one u8 operand tile and the
-    // dequantized y_sub (no GEMM pack panels).
-    const size_t i8_path =
-        Workspace::align_up(static_cast<size_t>(out_c) *
-                            int8_align4(patch)) +
-        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(int32_t)) +
-        Workspace::align_up(static_cast<size_t>(out_c) * sizeof(float)) +
-        Workspace::align_up(static_cast<size_t>(
-            static_cast<int64_t>(gs) * g.in_c * padded_plane_bytes(g))) +
-        Workspace::align_up(static_cast<size_t>(int8_align4(patch)) * ldc) +
-        Workspace::align_up(static_cast<size_t>(out_c) * ldc *
-                            sizeof(float));
-    worst = std::max(worst, i8_path);
   }
   return worst;
 }

@@ -243,12 +243,12 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
 
 // Worst-case arena bytes of one conv_group_masked call with a group of
 // `gs` samples, maximized over every mask shape the geometry admits (full
-// index sets; the f32 channel path — the kept-filter panel, the lowered
-// tile, y_sub and the GEMM's panels; the spatial path — column panels,
-// inverse table and product buffer — only when the conv preserves the grid
-// AND `spatial_masks`; the int8 channel path — the int8 panel with its
-// wsum and scale, the group's u8 planes, one u8 operand tile and y_sub —
-// when `int8_regime`).
+// index sets; the channel path of the regime — f32: the kept-filter panel,
+// the lowered tile, y_sub and the GEMM's panels; `int8_regime`, whose
+// calls pass `qw`: the int8 panel with its wsum and scale, the group's u8
+// planes, one u8 operand tile and y_sub; the spatial path, in both regimes
+// — column panels, inverse table and product buffer — only when the conv
+// preserves the grid AND `spatial_masks`).
 // Monotone in gs, so a batch's worst case over any grouping is the
 // single-group-of-n value (groups run sequentially between rewinds); it
 // covers a dense step's one-member keep-all calls too, and sizes one

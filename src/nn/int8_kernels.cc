@@ -25,10 +25,12 @@ inline int8_t quantize_one(float v, float inv) {
   return static_cast<int8_t>(q);
 }
 
+#if defined(ANTIDOTE_SIMD_I8)
 bool vnni_ok() {
   static const bool ok = cpu_supports_vnni();
   return ok;
 }
+#endif
 
 }  // namespace
 

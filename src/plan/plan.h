@@ -485,8 +485,8 @@ class InferencePlan {
   // conv step's weight per output channel (a one-time compile-style cost;
   // idempotent — already-quantized steps are kept). Measured step times
   // carry over unchanged; the EWMAs relearn the new regime as its passes
-  // land. Call before reserve() — the int8 paths need quantized-column
-  // scratch the f32 sizing omits.
+  // land. Call before reserve() — each regime's arena sizing omits the
+  // other's channel-path scratch.
   void set_regime(NumericRegime regime);
   NumericRegime regime() const { return regime_; }
 

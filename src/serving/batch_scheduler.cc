@@ -85,27 +85,46 @@ void BatchScheduler::worker_loop(int worker_index) {
   ModelReplica& replica = *replicas_[static_cast<size_t>(worker_index)];
   std::vector<InferenceRequest> batch;
   batch.reserve(static_cast<size_t>(policy_.max_batch));
+  // Arrival time of the last request this worker popped; empty until its
+  // first pop, so a fresh worker holds its first batch.
+  std::optional<Clock::time_point> last_arrival;
   while (true) {
     InferenceRequest first;
     if (!queue_->pop(first)) break;  // closed and drained
     stats_->record_queue_depth(queue_->depth());
+    // Hold an under-full batch only while arrivals can fill it: the first
+    // request came less than max_wait after the previous one. After a
+    // longer gap a hold would only delay the lone request by max_wait.
+    const bool hold = !last_arrival.has_value() ||
+                      first.enqueue_time - *last_arrival < policy_.max_wait;
+    last_arrival = first.enqueue_time;
     // Dead on arrival at the worker: a request whose deadline passed while
     // it sat in the queue would only burn a batch slot producing an answer
     // nobody can use — answer it unexecuted and move on. Under a burst
     // attack this is what keeps stale backlog from starving live traffic.
     if (expire_if_dead(first)) continue;
-    const Clock::time_point opened = Clock::now();
+    const Clock::time_point hold_until = Clock::now() + policy_.max_wait;
     batch.clear();
     batch.push_back(std::move(first));
-    const Clock::time_point hold_until = opened + policy_.max_wait;
+    // Batch size when the worker first found the queue empty mid-hold;
+    // 0 while it has not.
+    size_t held_at = 0;
     while (static_cast<int>(batch.size()) < policy_.max_batch) {
       InferenceRequest next;
-      if (!queue_->pop_until(next, hold_until)) break;
+      if (!queue_->try_pop(next)) {
+        if (!hold) break;
+        if (held_at == 0) held_at = batch.size();
+        if (!queue_->pop_until(next, hold_until)) break;
+      }
+      last_arrival = next.enqueue_time;
       if (expire_if_dead(next)) continue;
       batch.push_back(std::move(next));
     }
+    const BatchHold held = held_at == 0              ? BatchHold::kNone
+                           : batch.size() > held_at ? BatchHold::kHeldFilled
+                                                    : BatchHold::kHeld;
     try {
-      run_batch(worker_index, replica, batch);
+      run_batch(worker_index, replica, batch, held);
     } catch (...) {
       // A bad batch (e.g. mismatched input shapes) must not take the
       // worker down: fail that batch's promises and keep serving.
@@ -137,7 +156,8 @@ bool BatchScheduler::expire_if_dead(InferenceRequest& req) {
 }
 
 void BatchScheduler::run_batch(int worker_index, ModelReplica& replica,
-                               std::vector<InferenceRequest>& batch) {
+                               std::vector<InferenceRequest>& batch,
+                               BatchHold hold) {
   const int n = static_cast<int>(batch.size());
   const Clock::time_point dispatch = Clock::now();
 
@@ -170,6 +190,14 @@ void BatchScheduler::run_batch(int worker_index, ModelReplica& replica,
   // worker serves without touching the heap. The logits are copied into
   // per-request results below, before the next pass invalidates them.
   nn::ExecutionContext& ctx = replica.context();
+  if (replica.plan() == nullptr) {
+    // First batch: compile the plan for this input shape and reserve the
+    // arena at max_batch, so its size does not depend on the order in which
+    // batch sizes arrive.
+    replica.net()
+        .inference_plan(sample_shape[0], sample_shape[1], sample_shape[2])
+        .reserve(ctx.workspace(), policy_.max_batch);
+  }
   ctx.begin_pass();
   Tensor stacked = ctx.alloc(batch_shape);
   const int64_t sample_size = batch[0].input.size();
@@ -220,7 +248,7 @@ void BatchScheduler::run_batch(int worker_index, ModelReplica& replica,
   const double scatter_ms = scatter_timer.millis();
 
   stats_->record_batch(n, queue_wait_sum_ms / n, assemble_ms, forward_ms,
-                       scatter_ms);
+                       scatter_ms, hold);
   // Arena high-water mark after the pass: on a warm replica this is flat
   // batch over batch (zero growths), and under tiled lowering it stays
   // bounded even at 224x224 inputs — the snapshot surfaces both.

@@ -2,11 +2,17 @@
 //
 // Each worker owns a ModelReplica (a ConvNet plus, when pruning is on, a
 // DynamicPruningEngine) so forward passes never share mutable model state
-// and need no locking. The batching policy is the classic max-batch /
-// max-wait pair: a worker blocks for the first request, then keeps
-// coalescing until either the batch is full or max_wait has elapsed since
-// the first pickup, then stacks the inputs into one [N,C,H,W] forward and
-// scatters the logits back through the per-request promises.
+// and need no locking. The batching policy is a max-batch / max-wait pair:
+// a worker blocks for the first request and takes whatever is already
+// queued behind it, up to max_batch. It holds an under-full batch open only
+// while arrivals can fill it: when the first request arrived less than
+// max_wait after the previous request this worker popped (and on the
+// worker's very first batch). A hold lasts until the batch is full or
+// max_wait has passed since the first pickup. After a longer quiet spell
+// the worker dispatches at once, so a lone request does not wait out
+// max_wait for a batch-mate that is not coming. The worker then stacks the
+// inputs into one [N,C,H,W] forward and scatters the logits back through
+// the per-request promises.
 //
 // Between batches the worker applies any settings the LatencyController
 // posted (DynamicPruningEngine::apply_pending_settings), which is how the
@@ -37,8 +43,10 @@ namespace antidote::serving {
 
 struct BatchPolicy {
   int max_batch = 8;
-  // How long a worker holds an under-full batch open after the first
-  // request arrives.
+  // The longest a worker holds an under-full batch open after the first
+  // pickup, and the arrival gap below which it holds at all: a batch whose
+  // first request came max_wait or more after the previous one this worker
+  // popped is dispatched with what is already queued.
   std::chrono::microseconds max_wait{2000};
   int num_workers = 1;
 };
@@ -46,12 +54,13 @@ struct BatchPolicy {
 // A worker's private model. The replica puts the net in eval mode (serving
 // never trains) and installs the pruning engine when settings are given.
 // It also owns the worker's ExecutionContext: forward passes run out of
-// the replica's workspace arena. The replica never calls
-// InferencePlan::reserve(); the plan's run() sizes the arena and its
-// per-pass storage the first time a batch is larger than any before, so
-// once the largest batch size has been seen, steady-state serving
-// performs zero heap allocations per pass. The context is single-threaded
-// by contract — exactly one worker drives a replica.
+// the replica's workspace arena. On the replica's first batch the
+// scheduler compiles its plan for that input shape and reserves the arena
+// and the plan's per-pass storage at BatchPolicy::max_batch, so the arena
+// is one block of the exact size whatever order batch sizes arrive in, and
+// steady-state serving performs zero heap allocations per pass. The
+// context is single-threaded by contract — exactly one worker drives a
+// replica.
 class ModelReplica {
  public:
   ModelReplica(std::unique_ptr<models::ConvNet> net,
@@ -100,7 +109,7 @@ class BatchScheduler {
   // caller must then not add it to a batch.
   bool expire_if_dead(InferenceRequest& req);
   void run_batch(int worker_index, ModelReplica& replica,
-                 std::vector<InferenceRequest>& batch);
+                 std::vector<InferenceRequest>& batch, BatchHold hold);
 
   RequestQueue* queue_;
   const BatchPolicy policy_;

@@ -97,6 +97,7 @@ class RequestQueue {
 
   // Consumer side (the batch scheduler). Semantics follow BoundedQueue.
   bool pop(InferenceRequest& out) { return queue_.pop(out); }
+  bool try_pop(InferenceRequest& out) { return queue_.try_pop(out); }
   bool pop_until(InferenceRequest& out, Clock::time_point deadline) {
     return queue_.pop_until(out, deadline);
   }

@@ -16,12 +16,14 @@ ServerStats::ServerStats(int max_batch)
 
 void ServerStats::record_batch(int batch_size, double queue_wait_ms,
                                double assemble_ms, double forward_ms,
-                               double scatter_ms) {
+                               double scatter_ms, BatchHold hold) {
   AD_CHECK(batch_size >= 1 && batch_size <= max_batch_)
       << " batch size " << batch_size << " vs max " << max_batch_;
   std::lock_guard<std::mutex> lock(mutex_);
   completed_ += static_cast<uint64_t>(batch_size);
   batches_ += 1;
+  if (hold != BatchHold::kNone) held_batches_ += 1;
+  if (hold == BatchHold::kHeldFilled) held_batches_filled_ += 1;
   histogram_[static_cast<size_t>(batch_size - 1)] += 1;
   queue_wait_ms_sum_ += queue_wait_ms * batch_size;
   assemble_ms_sum_ += assemble_ms;
@@ -104,6 +106,8 @@ ServerStats::Snapshot ServerStats::snapshot() const {
   Snapshot s;
   s.completed_requests = completed_;
   s.batches = batches_;
+  s.held_batches = held_batches_;
+  s.held_batches_filled = held_batches_filled_;
   s.deadline_misses = deadline_misses_;
   s.rejected = rejected_;
   s.shed = shed_;
@@ -169,6 +173,7 @@ void ServerStats::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   start_ = std::chrono::steady_clock::now();
   completed_ = batches_ = deadline_misses_ = rejected_ = 0;
+  held_batches_ = held_batches_filled_ = 0;
   shed_ = expired_unexecuted_ = capped_requests_ = 0;
   queue_depth_sum_ = 0.0;
   queue_depth_samples_ = 0;
@@ -199,6 +204,8 @@ Table ServerStats::to_table() const {
   Table t({"metric", "value"});
   t.add_row({"completed requests", std::to_string(s.completed_requests)});
   t.add_row({"batches", std::to_string(s.batches)});
+  t.add_row({"held batches", std::to_string(s.held_batches)});
+  t.add_row({"held batches filled", std::to_string(s.held_batches_filled)});
   t.add_row({"throughput (req/s)", Table::fmt(s.throughput_rps, 1)});
   t.add_row({"mean batch size", Table::fmt(s.mean_batch_size, 2)});
   t.add_row({"mean queue depth", Table::fmt(s.mean_queue_depth, 2)});

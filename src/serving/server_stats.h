@@ -21,6 +21,11 @@
 
 namespace antidote::serving {
 
+// Whether a batch's worker waited on an empty queue before dispatching it
+// (a hold, see BatchPolicy::max_wait), and whether a request arrived while
+// it waited.
+enum class BatchHold { kNone, kHeld, kHeldFilled };
+
 class ServerStats {
  public:
   explicit ServerStats(int max_batch);
@@ -28,7 +33,8 @@ class ServerStats {
   // One dispatched batch. Stage times are milliseconds; queue_wait_ms is
   // the mean over the batch's requests.
   void record_batch(int batch_size, double queue_wait_ms, double assemble_ms,
-                    double forward_ms, double scatter_ms);
+                    double forward_ms, double scatter_ms,
+                    BatchHold hold = BatchHold::kNone);
   // One completed request's latency pair: time spent queued and total
   // enqueue-to-result time. Lock-free (histogram buckets only) — called
   // per request on the dispatch path, after its batch completes.
@@ -69,6 +75,10 @@ class ServerStats {
   struct Snapshot {
     uint64_t completed_requests = 0;
     uint64_t batches = 0;
+    // Batches whose worker waited on an empty queue before dispatch, and
+    // the held batches that gained at least one request while waiting.
+    uint64_t held_batches = 0;
+    uint64_t held_batches_filled = 0;
     uint64_t deadline_misses = 0;
     uint64_t rejected = 0;
     uint64_t shed = 0;                // admission-control refusals
@@ -140,6 +150,8 @@ class ServerStats {
   std::chrono::steady_clock::time_point start_;
   uint64_t completed_ = 0;
   uint64_t batches_ = 0;
+  uint64_t held_batches_ = 0;
+  uint64_t held_batches_filled_ = 0;
   uint64_t deadline_misses_ = 0;
   uint64_t rejected_ = 0;
   uint64_t shed_ = 0;

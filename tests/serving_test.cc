@@ -1,6 +1,7 @@
 // Serving runtime: queue backpressure and shutdown, micro-batch coalescing
-// under the max-wait policy, latency-controller convergence onto a budget,
-// and batched results matching the unbatched ConvNet forward exactly.
+// under the max-wait policy (and holding only while arrivals can fill a
+// batch), latency-controller convergence onto a budget, and batched results
+// matching the unbatched ConvNet forward exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -239,6 +240,26 @@ TEST(ServerStats, AggregatesAndResets) {
   EXPECT_EQ(zero.completed_requests, 0u);
   EXPECT_EQ(zero.batches, 0u);
   EXPECT_EQ(zero.batch_size_histogram[3], 0u);
+}
+
+TEST(ServerStats, CountsHoldsAndTheHoldsThatCaughtARequest) {
+  ServerStats stats(4);
+  stats.record_batch(1, 0.0, 0.0, 1.0, 0.0);
+  stats.record_batch(1, 2.0, 0.0, 1.0, 0.0, BatchHold::kHeld);
+  stats.record_batch(3, 1.0, 0.0, 1.0, 0.0, BatchHold::kHeldFilled);
+  const ServerStats::Snapshot s = stats.snapshot();
+  EXPECT_EQ(s.batches, 3u);
+  EXPECT_EQ(s.held_batches, 2u);
+  EXPECT_EQ(s.held_batches_filled, 1u);
+  const Table t = stats.to_table();
+  std::string rows;
+  for (const auto& row : t.rows()) rows += row[0] + "=" + row[1] + "\n";
+  EXPECT_NE(rows.find("held batches=2\n"), std::string::npos) << rows;
+  EXPECT_NE(rows.find("held batches filled=1\n"), std::string::npos) << rows;
+
+  stats.reset();
+  EXPECT_EQ(stats.snapshot().held_batches, 0u);
+  EXPECT_EQ(stats.snapshot().held_batches_filled, 0u);
 }
 
 TEST(ServerStats, RejectsOverMaxBatch) {
@@ -568,6 +589,58 @@ TEST(InferenceServer, DispatchesLoneRequestAfterMaxWait) {
   const InferenceResult r = future.get();
   EXPECT_EQ(r.batch_size, 1);  // max-wait expired; dispatched under-full
   EXPECT_GE(r.queue_ms + r.batch_ms, 0.0);
+}
+
+TEST(InferenceServer, DispatchesAtOnceAfterAQuietSpell) {
+  InferenceServer server(small_cnn_factory(), small_config(8, 500ms));
+  // A fresh worker holds its first batch for the whole max_wait.
+  ASSERT_EQ(server.submit(make_input(42)).get().batch_size, 1);
+  // 600 ms of quiet is longer than max_wait: no batch-mate is on its way,
+  // so the next lone request is dispatched without waiting out a hold.
+  std::this_thread::sleep_for(600ms);
+  const InferenceResult r = server.submit(make_input(43)).get();
+  EXPECT_EQ(r.batch_size, 1);
+  EXPECT_LT(r.queue_ms, 250.0);
+}
+
+TEST(InferenceServer, CoalescesCloseArrivalsAfterAQuietSpell) {
+  InferenceServer server(small_cnn_factory(), small_config(2, 500ms));
+  server.submit(make_input(42)).get();
+  std::this_thread::sleep_for(600ms);
+  // Three requests 10 ms apart: the first follows the quiet spell and rides
+  // alone; the second follows it closely, so its batch holds and fills
+  // with the third long before max_wait.
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) std::this_thread::sleep_for(10ms);
+    futures.push_back(server.submit(make_input(50 + i)));
+  }
+  std::vector<InferenceResult> results;
+  for (auto& f : futures) results.push_back(f.get());
+  EXPECT_EQ(results[0].batch_size, 1);
+  EXPECT_LT(results[0].queue_ms, 250.0);
+  EXPECT_EQ(results[1].batch_size, 2);
+  EXPECT_EQ(results[2].batch_size, 2);
+  EXPECT_LT(results[1].queue_ms, 250.0);
+}
+
+TEST(InferenceServer, HoldCountersFollowTheArrivalGaps) {
+  InferenceServer server(small_cnn_factory(), small_config(2, 300ms));
+  // Fresh worker: held, and nothing arrives while it waits.
+  server.submit(make_input(1)).get();
+  std::this_thread::sleep_for(400ms);
+  // After the quiet spell: dispatched at once, no hold.
+  EXPECT_EQ(server.submit(make_input(2)).get().batch_size, 1);
+  // Close behind it: held, and the wait catches the next request.
+  auto a = server.submit(make_input(3));
+  std::this_thread::sleep_for(50ms);
+  auto b = server.submit(make_input(4));
+  EXPECT_EQ(a.get().batch_size, 2);
+  EXPECT_EQ(b.get().batch_size, 2);
+  const ServerStats::Snapshot s = server.stats().snapshot();
+  EXPECT_EQ(s.batches, 3u);
+  EXPECT_EQ(s.held_batches, 2u);
+  EXPECT_EQ(s.held_batches_filled, 1u);
 }
 
 TEST(InferenceServer, BatchedResultsMatchUnbatchedForward) {

@@ -777,7 +777,9 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
   flags.add_int("workers", 1, "batch workers (one model replica each)");
   flags.add_int("max-batch", 8, "micro-batching: max requests per batch");
   flags.add_double("max-wait-ms", 2.0,
-                   "micro-batching: max hold time for an under-full batch");
+                   "micro-batching: max hold time for an under-full batch; "
+                   "a worker holds only when the batch's first request "
+                   "arrived less than this after the previous one");
   flags.add_int("queue-capacity", 64, "request queue bound (backpressure)");
   flags.add_double("budget-ms", 0.0,
                    "p95 batch-latency budget for the controller "
@@ -992,6 +994,7 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
         "\"shed_rate_pct\": %.3f, \"rejected\": %llu, \"capped\": %llu, "
         "\"capped_rate_pct\": %.3f, \"expired_unexecuted\": %llu, "
         "\"expired_rate_pct\": %.3f, \"deadline_misses\": %llu, "
+        "\"held_batches\": %llu, \"held_batches_filled\": %llu, "
         "\"measured_s\": %.3f}\n"
         "}\n",
         model.c_str(), serving::adversarial_profile_name(adversarial),
@@ -1008,6 +1011,8 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
         static_cast<unsigned long long>(snap.expired_unexecuted),
         snap.expired_rate_pct,
         static_cast<unsigned long long>(snap.deadline_misses),
+        static_cast<unsigned long long>(snap.held_batches),
+        static_cast<unsigned long long>(snap.held_batches_filled),
         measured_seconds);
     std::fclose(f);
     std::printf("wrote %s\n", json_path.c_str());
