@@ -8,10 +8,7 @@ namespace antidote::models {
 
 ConvNet::ConvNet()
     : regime_(plan::NumericRegime::kF32),
-      coarsen_mode_(plan::CoarsenMode::kAuto),
-      coarsen_mac_bias_(1.0),
-      tile_mode_(plan::TileMode::kAuto),
-      tile_n_(0) {}
+      coarsen_mode_(plan::CoarsenMode::kAuto) {}
 ConvNet::~ConvNet() = default;
 
 Tensor ConvNet::forward(const Tensor& x, nn::ExecutionContext& ctx) {
@@ -39,11 +36,10 @@ plan::InferencePlan& ConvNet::inference_plan(int in_c, int in_h, int in_w) {
     plan_w_ = in_w;
   }
   // Applied on every fetch (idempotent): plans compile as f32 with the
-  // default coarsening policy, and the model's regime and policy must
+  // default coarsening mode, and the model's regime and mode must
   // survive recompiles (shape changes, gate installs).
   plan_->set_regime(regime_);
-  plan_->set_coarsen({coarsen_mode_, coarsen_mac_bias_});
-  plan_->set_tile({tile_mode_, tile_n_});
+  plan_->set_coarsen(coarsen_mode_);
   plan_->set_compute_cap(compute_cap_);
   return *plan_;
 }
@@ -53,16 +49,9 @@ void ConvNet::set_numeric_regime(plan::NumericRegime regime) {
   if (plan_ != nullptr) plan_->set_regime(regime);
 }
 
-void ConvNet::set_coarsen_policy(plan::CoarsenPolicy policy) {
-  coarsen_mode_ = policy.mode;
-  coarsen_mac_bias_ = policy.mac_bias;
-  if (plan_ != nullptr) plan_->set_coarsen(policy);
-}
-
-void ConvNet::set_tile_policy(plan::TilePolicy policy) {
-  tile_mode_ = policy.mode;
-  tile_n_ = policy.n;
-  if (plan_ != nullptr) plan_->set_tile(policy);
+void ConvNet::set_coarsen_policy(plan::CoarsenMode mode) {
+  coarsen_mode_ = mode;
+  if (plan_ != nullptr) plan_->set_coarsen(mode);
 }
 
 void ConvNet::set_compute_cap(double cap) {

@@ -29,9 +29,6 @@ class InferencePlan;
 class PlanBuilder;
 enum class NumericRegime;
 enum class CoarsenMode;
-struct CoarsenPolicy;
-enum class TileMode;
-struct TilePolicy;
 }  // namespace antidote::plan
 
 namespace antidote::models {
@@ -74,16 +71,11 @@ class ConvNet : public nn::Module {
   void set_numeric_regime(plan::NumericRegime regime);
   plan::NumericRegime numeric_regime() const { return regime_; }
 
-  // Similar-mask union coarsening policy every compiled plan runs under
+  // Similar-mask union coarsening mode every compiled plan runs under
   // (auto by default). Like the numeric regime, it is sticky: applied to
   // the cached plan and re-applied to every future compile, so callers
-  // (CLI --coarsen flag, serving controller) set it once on the model.
-  void set_coarsen_policy(plan::CoarsenPolicy policy);
-
-  // Spatial tiling policy of the plans' conv lowering (auto by default).
-  // Sticky like the coarsening policy. Set before reserve(): the policy
-  // changes each conv step's kernel scratch, hence the arena footprint.
-  void set_tile_policy(plan::TilePolicy policy);
+  // (the CLI's --coarsen flag) set it once on the model.
+  void set_coarsen_policy(plan::CoarsenMode mode);
 
   // Per-request compute cap every compiled plan enforces (1.0 = uncapped
   // by default): the max kept-MAC fraction a sample's runtime masks may
@@ -136,13 +128,8 @@ class ConvNet : public nn::Module {
   int plan_c_ = -1, plan_h_ = -1, plan_w_ = -1;
   // Initialized to kF32 in the constructor (the enum is opaque here).
   plan::NumericRegime regime_;
-  // Sticky coarsening policy (kAuto / bias 1.0 in the constructor; the
-  // struct is opaque here, so the fields are carried unpacked).
+  // Sticky coarsening mode (kAuto in the constructor, same treatment).
   plan::CoarsenMode coarsen_mode_;
-  double coarsen_mac_bias_;
-  // Sticky tiling policy (kAuto / 0 in the constructor), same treatment.
-  plan::TileMode tile_mode_;
-  int tile_n_;
   // Sticky per-request compute cap (1.0 = uncapped).
   double compute_cap_ = 1.0;
 };

@@ -100,13 +100,8 @@ void Conv2d::set_runtime_masks(std::span<const ConvRuntimeMask> masks) {
 
 std::span<const ConvRuntimeMask> Conv2d::take_runtime_masks() {
   const size_t n = pending_count_;
-  if (n == 0) return {};
-  // Swapping through a member (instead of a local, and without clear()ing
-  // either side) keeps both vectors' elements alive as warm storage across
-  // passes.
-  active_masks_.swap(pending_masks_);
   pending_count_ = 0;
-  return std::span<const ConvRuntimeMask>(active_masks_.data(), n);
+  return std::span<const ConvRuntimeMask>(pending_masks_.data(), n);
 }
 
 void Conv2d::note_external_execution(int64_t macs, bool masked) {

@@ -63,8 +63,8 @@ class Conv2d : public Module {
   // masked forward is not supported (masking is a test-phase mechanism).
   void set_runtime_masks(std::vector<ConvRuntimeMask> masks);
   // Borrowing variant for the hot path: copies the masks into internal
-  // storage that only grows, so serving stops allocating here once each
-  // of its batch sizes has run.
+  // storage that only grows, so serving stops allocating here once a
+  // batch as large as any later one has run.
   void set_runtime_masks(std::span<const ConvRuntimeMask> masks);
   bool has_pending_masks() const { return pending_count_ > 0; }
 
@@ -105,13 +105,12 @@ class Conv2d : public Module {
   Parameter weight_;  // [out_c, in_c, k, k]
   Parameter bias_;    // [out_c] (unused when has_bias_ == false)
 
-  // pending/active ping-pong: set_runtime_masks fills pending, the next
-  // forward swaps it into active. Neither vector ever shrinks — stale
-  // elements, including those past a smaller batch, stay behind as warm
-  // storage so the per-pass copy-assign reuses their inner vectors'
-  // capacity (pending_count_ counts the valid leading pending elements).
+  // set_runtime_masks fills the leading pending_count_ elements; the next
+  // forward (or take_runtime_masks) reads them in place and zeroes the
+  // count. The vector never shrinks — stale elements, including those past
+  // a smaller batch, stay behind as warm storage so the per-pass
+  // copy-assign reuses their inner vectors' capacity.
   std::vector<ConvRuntimeMask> pending_masks_;
-  std::vector<ConvRuntimeMask> active_masks_;
   size_t pending_count_ = 0;
   bool last_forward_was_masked_ = false;
   Tensor cached_input_;  // for backward

@@ -83,6 +83,7 @@ int PlanBuilder::conv(nn::Conv2d* conv, nn::BatchNorm2d* bn, bool relu,
   PlanOp& op = append(OpKind::kConv, src, out_shape, /*planned=*/true, name);
   op.conv = conv;
   op.geom = g;
+  op.tile_pos = choose_conv_tile(g, conv->out_channels());
   op.residual = residual;
   if (residual >= 0) {
     PlanBuffer& res = plan_.buffers_[static_cast<size_t>(residual)];
@@ -291,10 +292,6 @@ InferencePlan PlanBuilder::finish() {
   }
 
   plan_.slots_.assign(plan_.buffers_.size(), Tensor());
-  // Apply the default tile policy (auto) so every conv step leaves the
-  // builder with its spatial tile width resolved; set_tile() re-derives
-  // them if the caller overrides the policy before reserve().
-  plan_.set_tile(plan_.tile_);
   return std::move(plan_);
 }
 

@@ -194,27 +194,11 @@ const char* coarsen_mode_name(CoarsenMode mode) {
   return "?";
 }
 
-const char* tile_mode_name(TileMode mode) {
-  switch (mode) {
-    case TileMode::kOff: return "off";
-    case TileMode::kAuto: return "auto";
-    case TileMode::kFixed: return "fixed";
-  }
-  return "?";
-}
-
-int64_t choose_conv_tile(const ConvGeom& geom, int out_c,
-                         const TilePolicy& policy) {
+int64_t choose_conv_tile(const ConvGeom& geom, int out_c) {
   const int64_t pos = geom.out_positions();
-  if (policy.mode == TileMode::kOff || pos <= 1) return 0;
-  if (policy.mode == TileMode::kFixed) {
-    int64_t t = policy.n;
-    if (t <= 0 || t >= pos) return 0;
-    return t;
-  }
-  // kAuto. The tile working set per output column is one lowered patch
-  // column plus one output column, sized at f32 (the int8 operand tile is
-  // a quarter of that, so geometry alone decides — the chosen width is
+  // The tile working set per output column is one lowered patch column
+  // plus one output column, sized at f32 (the int8 operand tile is a
+  // quarter of that, so geometry alone decides — the chosen width is
   // regime-independent, a set_regime flip never resizes the arena, and
   // int8 output does not depend on the width at all).
   const int64_t patch = static_cast<int64_t>(geom.in_c) * geom.k_h * geom.k_w;
@@ -231,10 +215,9 @@ int64_t choose_conv_tile(const ConvGeom& geom, int out_c,
 
 CoarsenDecision coarsen_plan(const CoarsenGroup* groups, int ngroups,
                              int ch_words, int pos_words,
-                             const CoarsenCost& cost, double mac_bias,
-                             uint64_t* bits, int* cluster, int* iscratch) {
+                             const CoarsenCost& cost, uint64_t* bits,
+                             int* cluster, int* iscratch) {
   AD_CHECK_GT(ngroups, 0);
-  mac_bias = std::clamp(mac_bias, kMinCoarsenMacBias, kMaxCoarsenMacBias);
   const int wpg = ch_words + pos_words;
   // Mutable per-cluster state lives in the caller's integer scratch; the
   // planner itself never allocates (it runs inside the zero-alloc pass).
@@ -280,7 +263,7 @@ CoarsenDecision coarsen_plan(const CoarsenGroup* groups, int ngroups,
       double total = 0.0;
       for (int i = 0; i < ngroups; ++i) {
         if (parent[i] != i) continue;
-        total += mac_bias * gs[i] * macs_of(i) / cost.threads + pack_of(i) +
+        total += gs[i] * macs_of(i) / cost.threads + pack_of(i) +
                  cost.overhead_macs;
       }
       return total;
@@ -290,7 +273,7 @@ CoarsenDecision coarsen_plan(const CoarsenGroup* groups, int ngroups,
     for (int i = 0; i < ngroups; ++i) {
       if (parent[i] != i) continue;
       lane[idx % width] +=
-          mac_bias * gs[i] * macs_of(i) + pack_of(i) + cost.overhead_macs;
+          gs[i] * macs_of(i) + pack_of(i) + cost.overhead_macs;
       ++idx;
     }
     double worst = 0.0;
@@ -493,12 +476,6 @@ int InferencePlan::last_mask_groups() const {
   return groups;
 }
 
-void InferencePlan::set_coarsen(CoarsenPolicy policy) {
-  policy.mac_bias =
-      std::clamp(policy.mac_bias, kMinCoarsenMacBias, kMaxCoarsenMacBias);
-  coarsen_ = policy;
-}
-
 void InferencePlan::set_compute_cap(double cap) {
   compute_cap_ = std::clamp(cap, kMinComputeCap, 1.0);
 }
@@ -616,14 +593,6 @@ std::span<const nn::ConvRuntimeMask> InferencePlan::cap_runtime_masks(
   }
   op.last_capped = capped;
   return {op.capped_masks.data(), static_cast<size_t>(n)};
-}
-
-void InferencePlan::set_tile(TilePolicy policy) {
-  tile_ = policy;
-  for (PlanOp& op : ops_) {
-    if (op.kind != OpKind::kConv) continue;
-    op.tile_pos = choose_conv_tile(op.geom, op.out_shape[0], tile_);
-  }
 }
 
 size_t InferencePlan::op_scratch_bytes(int op_index, int n) const {
@@ -806,7 +775,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           // channels the cap just truncated — whose upstream activations
           // are NOT zero — silently undoing the compute ceiling (and,
           // unlike ordinary coarsening, changing values).
-          if (coarsen_.mode == CoarsenMode::kAuto && groups >= 2 &&
+          if (coarsen_ == CoarsenMode::kAuto && groups >= 2 &&
               op.last_capped == 0) {
             // The coarsened order/bounds and per-group mask pointers must
             // outlive the planner scratch (the kernels read them), so
@@ -866,8 +835,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
             cc.threads = threads;
             const CoarsenDecision dec =
                 coarsen_plan(cg, groups, ch_words, pos_words, cc,
-                             coarsen_.mac_bias, work_bits, cluster,
-                             iscratch);
+                             work_bits, cluster, iscratch);
             // Zero-growth invariant: coarsening only ever REDUCES the
             // group count, so arena_bytes(n)'s max-over-G kernel worst
             // cases still bound the coarsened schedule.
@@ -1204,10 +1172,7 @@ std::string InferencePlan::to_string() const {
   }
   os << ", vnni " << (nn::cpu_supports_vnni() ? "yes" : "no")
      << ", group workers <= "
-     << group_parallel_width(compute_threads(), kMaxGroupWorkers)
-     << ", tile " << tile_mode_name(tile_.mode);
-  if (tile_.mode == TileMode::kFixed) os << "(" << tile_.n << ")";
-  os << "\n";
+     << group_parallel_width(compute_threads(), kMaxGroupWorkers) << "\n";
   char line[192];
   std::snprintf(line, sizeof(line),
                 "%-3s %-9s %-18s %-16s %-14s %12s %10s %6s %6s\n", "#", "op",
@@ -1234,7 +1199,7 @@ std::string InferencePlan::to_string() const {
     const std::string groups_str =
         op.last_groups > 0 ? std::to_string(op.last_groups) : "-";
     // tile: output-position tile width of the spatially-tiled lowering
-    // ("-" = untiled: non-conv op, small grid, or --tile=off).
+    // ("-" = untiled: non-conv op, or a grid whose panel fits the cache).
     const std::string tile_str =
         op.tile_pos > 0 ? std::to_string(op.tile_pos) : "-";
     std::snprintf(line, sizeof(line),
@@ -1245,9 +1210,9 @@ std::string InferencePlan::to_string() const {
     os << line;
   }
   std::snprintf(line, sizeof(line),
-                "mask coarsening: %s (mac bias %.2f); last pass groups "
+                "mask coarsening: %s; last pass groups "
                 "%d -> %d, union-added MACs %lld (%.2f%% of executed)\n",
-                coarsen_mode_name(coarsen_.mode), coarsen_.mac_bias,
+                coarsen_mode_name(coarsen_),
                 last_mask_groups_raw(), last_mask_groups(),
                 static_cast<long long>(last_coarsen_extra_macs()),
                 100.0 * last_coarsen_extra_mac_frac());

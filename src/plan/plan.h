@@ -157,58 +157,31 @@ const char* coarsen_mode_name(CoarsenMode mode);
 // from them, so tiled int8 output is bitwise identical to untiled int8
 // too.
 
-enum class TileMode {
-  kOff,    // never tile
-  kAuto,   // per-op width from geometry + the cache-budget heuristic
-  kFixed,  // every eligible op uses TilePolicy::n (clamped to its domain)
-};
-
-const char* tile_mode_name(TileMode mode);
-
-struct TilePolicy {
-  TileMode mode = TileMode::kAuto;
-  int n = 0;  // fixed tile width (kFixed only)
-};
-
 // The plan compiler's per-op tile choice: 0 (untiled) when the op's full
 // f32 working set — im2col panel plus output panel — fits the cache
 // budget or the op is too small for tiling to pay (out_positions below
 // kTileMinPositions); otherwise the largest width whose tile working set
 // fits, floored at kTileMinWidth and rounded to the GEMM's 16-column
 // register panel. Deterministic in the geometry alone (regime-independent,
-// so a regime flip never changes the tile).
-int64_t choose_conv_tile(const ConvGeom& geom, int out_c,
-                         const TilePolicy& policy);
+// so a regime flip never changes the tile), and fixed when the plan is
+// compiled: nothing overrides it.
+int64_t choose_conv_tile(const ConvGeom& geom, int out_c);
 
-// Cache budget of the auto heuristic: the tile working set
+// Cache budget of choose_conv_tile: the tile working set
 // (patch + out_c) * 4 * tile bytes is kept under this. Sized toward a
 // per-core LLC slice rather than the whole cache, so concurrently
 // executing groups stay resident too.
 inline constexpr int64_t kTileCacheBudgetBytes = 768 * 1024;
-// Ops with fewer output positions than this never auto-tile (CIFAR-sized
+// Ops with fewer output positions than this never tile (CIFAR-sized
 // domains already fit; tiling them would only add loop overhead).
 inline constexpr int64_t kTileMinPositions = 4096;
-// Lower bound of an auto tile width (amortizes the per-tile GEMM setup).
+// Lower bound of a tile width (amortizes the per-tile GEMM setup).
 inline constexpr int64_t kTileMinWidth = 64;
-
-// Bounds of CoarsenPolicy::mac_bias (set_coarsen clamps into them).
-inline constexpr double kMinCoarsenMacBias = 0.25;
-inline constexpr double kMaxCoarsenMacBias = 4.0;
 
 // Floor of the per-request compute cap (set_compute_cap clamps into
 // [kMinComputeCap, 1.0]); below ~5% kept MACs the truncated masks carry
 // too few channels to produce a meaningful prediction anyway.
 inline constexpr double kMinComputeCap = 0.05;
-
-struct CoarsenPolicy {
-  CoarsenMode mode = CoarsenMode::kAuto;
-  // Relative weight of the MAC term against the per-group pack+dispatch
-  // terms in the merge decision. 1.0 is the honest latency model; the
-  // serving LatencyController lowers it under budget pressure (union-added
-  // MACs look cheaper -> merge harder) and relaxes it back toward neutral
-  // when p95 sits inside the band.
-  double mac_bias = 1.0;
-};
 
 // One exact-identity bucket's summary handed to coarsen_plan. Bitsets are
 // packed little-endian (core::pack_kept_bits); keep-all components pack as
@@ -281,8 +254,8 @@ inline constexpr int coarsen_iscratch_ints(int ngroups) {
 // coarsen_iscratch_ints(ngroups) ints. Heap-allocation-free.
 CoarsenDecision coarsen_plan(const CoarsenGroup* groups, int ngroups,
                              int ch_words, int pos_words,
-                             const CoarsenCost& cost, double mac_bias,
-                             uint64_t* bits, int* cluster, int* iscratch);
+                             const CoarsenCost& cost, uint64_t* bits,
+                             int* cluster, int* iscratch);
 
 // Scalar element count of a (per-sample) shape — shared by the compiler's
 // buffer sizing and the executor's pointer arithmetic.
@@ -367,7 +340,7 @@ struct PlanOp {
   std::vector<nn::ConvRuntimeMask> capped_masks;
 
   // kConv: chosen output-position tile width (0 = untiled). Set at
-  // plan-compile time from the tile policy and geometry; shared by the
+  // plan-compile time from the geometry (choose_conv_tile); shared by the
   // executor and the arena-sizing formulas so they always agree.
   int64_t tile_pos = 0;
 
@@ -490,24 +463,15 @@ class InferencePlan {
   void set_regime(NumericRegime regime);
   NumericRegime regime() const { return regime_; }
 
-  // Installs the similar-mask union coarsening policy (mac_bias clamped
-  // to [kMinCoarsenMacBias, kMaxCoarsenMacBias]). Safe at any time — the
-  // policy only gates the per-pass merge decision, never the arena
-  // footprint: arena_bytes(n) accounts the coarsening scratch
+  // Turns similar-mask union coarsening on (kAuto: merge wherever the
+  // CoarsenCost model predicts a shorter critical path) or off. Safe at
+  // any time — the mode only gates the per-pass merge decision, never the
+  // arena footprint: arena_bytes(n) accounts the coarsening scratch
   // unconditionally, and coarsening only ever REDUCES the executed group
   // count, so the existing max-over-G kernel-scratch worst cases still
   // bound every coarsened schedule.
-  void set_coarsen(CoarsenPolicy policy);
-  const CoarsenPolicy& coarsen() const { return coarsen_; }
-
-  // Installs the spatial tiling policy and recomputes every conv step's
-  // tile width (choose_conv_tile). Changing the policy changes the
-  // arena's scratch requirements, so call before reserve() — like
-  // set_regime. Narrower tiles fit an arena reserved for wider ones; a
-  // change that widens any step's tile (kOff, or auto choosing untiled,
-  // runs one tile of every position) needs a new reserve().
-  void set_tile(TilePolicy policy);
-  const TilePolicy& tile() const { return tile_; }
+  void set_coarsen(CoarsenMode mode) { coarsen_ = mode; }
+  CoarsenMode coarsen() const { return coarsen_; }
 
   // Installs the per-request compute cap: the maximum kept-MAC fraction
   // (kept channels x kept positions x kept filters over the op's dense
@@ -581,8 +545,7 @@ class InferencePlan {
   int input_buffer_ = 0;
   int output_buffer_ = -1;
   NumericRegime regime_ = NumericRegime::kF32;
-  CoarsenPolicy coarsen_;
-  TilePolicy tile_;
+  CoarsenMode coarsen_ = CoarsenMode::kAuto;
   double compute_cap_ = 1.0;  // 1.0 = uncapped
   // Applies the compute cap to a masked conv pass: returns `masks`
   // untouched when every sample fits, otherwise copies the batch into

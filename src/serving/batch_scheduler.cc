@@ -165,21 +165,6 @@ void BatchScheduler::run_batch(int worker_index, ModelReplica& replica,
   if (replica.engine() != nullptr) {
     replica.engine()->apply_pending_settings();
   }
-  // Same for the controller's coarsening pressure: the MAC bias reaches
-  // the replica's plan through the sticky model policy (so it survives
-  // recompiles), unless the operator turned coarsening off for this
-  // replica. Cheap per batch — one mutexed read and an idempotent store.
-  if (controller_ != nullptr) {
-    // plan == nullptr only before the first batch compiles it; skip then
-    // rather than guess the mode and stomp an operator's --coarsen=off.
-    const plan::InferencePlan* plan = replica.plan();
-    if (plan != nullptr &&
-        plan->coarsen().mode == plan::CoarsenMode::kAuto) {
-      replica.net().set_coarsen_policy(
-          {plan::CoarsenMode::kAuto, controller_->coarsen_mac_bias()});
-    }
-  }
-
   WallTimer assemble_timer;
   const Shape& sample_shape = batch[0].input.shape();
   Shape batch_shape;

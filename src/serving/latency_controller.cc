@@ -113,19 +113,7 @@ bool LatencyController::record_batch(
   window_.clear();
 
   const float before = offset_;
-  const double bias_before = coarsen_mac_bias_;
   const double target = config_.target_p95_ms;
-  // Coarsening pressure moves with the same window decision as the drop
-  // offset: over budget, lower the MAC bias so union-added MACs look
-  // cheaper to the plan's coarsener (merge harder, fewer group
-  // dispatches); comfortably under, relax back toward the neutral 1.0.
-  // The bias never exceeds neutral — above 1.0 it would veto merges the
-  // honest latency model already predicts as wins.
-  if (last_window_p95_ms_ > target) {
-    coarsen_mac_bias_ = std::max(0.25, coarsen_mac_bias_ * 0.75);
-  } else if (last_window_p95_ms_ < config_.low_watermark * target) {
-    coarsen_mac_bias_ = std::min(1.0, coarsen_mac_bias_ / 0.75);
-  }
   float proposed = before;
   if (last_window_p95_ms_ > target ||
       last_window_p95_ms_ < config_.low_watermark * target) {
@@ -167,7 +155,7 @@ bool LatencyController::record_batch(
   } else {
     offset_ = proposed;
   }
-  return offset_ != before || coarsen_mac_bias_ != bias_before;
+  return offset_ != before;
 }
 
 bool LatencyController::shedding_active() const {
@@ -188,11 +176,6 @@ double LatencyController::predicted_request_cost_ms(int max_batch,
     if (batch_ms > 0.0) return batch_ms / per_slot;
   }
   return smoothed_p95_ms_ / per_slot;  // 0 before the first window closes
-}
-
-double LatencyController::coarsen_mac_bias() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return coarsen_mac_bias_;
 }
 
 core::PruneSettings LatencyController::settings() const {

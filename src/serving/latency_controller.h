@@ -88,7 +88,7 @@ class LatencyController {
   double predict_ms(float offset) const;
 
   // Thread-safe. Records one completed batch; when this closes a control
-  // window and the decision changed the settings, returns true — the
+  // window and the decision moved the drop offset, returns true — the
   // caller should then fetch settings() and post them to the replicas.
   bool record_batch(double batch_latency_ms,
                     const core::DynamicPruningEngine::KeepStats& keep,
@@ -112,16 +112,6 @@ class LatencyController {
   // Current target settings (base + offset, clamped). Thread-safe copy.
   core::PruneSettings settings() const;
   float offset() const;
-  // Mask-coarsening MAC bias the controller is currently asking for, in
-  // (0, 1]: 1.0 is the plan's honest latency model; under budget pressure
-  // the controller lowers it multiplicatively (union-added MACs look
-  // cheaper, so the plan's coarsener merges similar mask groups harder)
-  // and relaxes it back toward neutral while p95 sits under the low
-  // watermark. The scheduler posts it to every replica plan alongside the
-  // drop settings whenever record_batch reports a change, keeping the
-  // plan-side merge decisions and the controller's cost-model group term
-  // moving in the same direction.
-  double coarsen_mac_bias() const;
   // p95 of the most recently completed window (0 until one completes).
   double p95_ms() const;
   // Exponentially smoothed p95 across windows — the steadier figure to
@@ -155,7 +145,6 @@ class LatencyController {
   std::atomic<uint64_t> sheds_pending_{0};
   bool shedding_active_ = false;  // guarded by mutex_
   float offset_ = 0.f;
-  double coarsen_mac_bias_ = 1.0;
   double last_window_p95_ms_ = 0.0;
   double smoothed_p95_ms_ = 0.0;
   std::vector<double> window_;

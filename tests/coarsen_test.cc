@@ -9,10 +9,11 @@
 //   - keep-all groups: a one-member group (the dense plan step: weights
 //     read in place, tiles stored straight into the output) equals the
 //     module walk's dense kernel, and a two-member group (y_sub + scatter)
-//     gives every member the same bytes, f32 and int8, tiled or not;
-//   - coarsen_plan merge-policy monotonicity: identical groups always
-//     merge at any mac_bias, disjoint (or filter-mismatched) groups never
-//     merge at any bias — structural eligibility, not a cost outcome;
+//     gives every member the same bytes, f32 and int8, tiled or not, and
+//     int8 output does not depend on the tile width;
+//   - coarsen_plan merge eligibility: identical groups always merge;
+//     disjoint, filter-mismatched or mixed-position-kind groups never
+//     merge — structural eligibility, not a cost outcome;
 //   - end to end, a batch of near-identical hand-built masks merges below
 //     the exact-identity bucket count, stays bitwise identical to the
 //     per-sample module walk, and performs zero arena growths from the
@@ -104,7 +105,7 @@ TEST(CoarsenBits, MaskEqualKeptCountFastReject) {
   EXPECT_FALSE(core::mask_equal(a, b));
 }
 
-// --- merge-policy monotonicity (coarsen_plan seam) ------------------------
+// --- merge eligibility (coarsen_plan seam) --------------------------------
 
 struct PlanInputs {
   std::vector<plan::CoarsenGroup> groups;
@@ -135,7 +136,7 @@ PlanInputs make_inputs(const std::vector<std::vector<int>>& kept_ch,
   return in;
 }
 
-TEST(CoarsenPlan, IdenticalGroupsAlwaysMergeAtAnyBias) {
+TEST(CoarsenPlan, IdenticalGroupsAlwaysMerge) {
   const std::vector<int> oc;  // keep-all filters, shared by every group
   std::vector<int> kept_mut(32);
   std::iota(kept_mut.begin(), kept_mut.end(), 0);
@@ -144,23 +145,21 @@ TEST(CoarsenPlan, IdenticalGroupsAlwaysMergeAtAnyBias) {
   cost.pack_macs_per_elem = 1.0;
   cost.overhead_macs = 20000.0;
   cost.threads = 4;
-  for (const double bias : {0.25, 1.0, 4.0}) {
-    PlanInputs in = make_inputs({kept_mut, kept_mut, kept_mut, kept_mut},
-                                &oc, 64);
-    const plan::CoarsenDecision dec = plan::coarsen_plan(
-        in.groups.data(), 4, /*ch_words=*/1, /*pos_words=*/0, cost, bias,
-        in.bits.data(), in.cluster.data(), in.iscratch.data());
-    EXPECT_EQ(dec.clusters, 1) << "bias " << bias;
-    EXPECT_EQ(dec.extra_macs, 0) << "bias " << bias;
-    // With workers saturated (one group per lane) an identical merge is
-    // an exact critical-path tie; ties break toward fewer groups because
-    // they delete whole pack+dispatch terms of total work.
-    EXPECT_LE(dec.predicted_after, dec.predicted_before) << "bias " << bias;
-    for (const int c : in.cluster) EXPECT_EQ(c, 0);
-  }
+  PlanInputs in =
+      make_inputs({kept_mut, kept_mut, kept_mut, kept_mut}, &oc, 64);
+  const plan::CoarsenDecision dec = plan::coarsen_plan(
+      in.groups.data(), 4, /*ch_words=*/1, /*pos_words=*/0, cost,
+      in.bits.data(), in.cluster.data(), in.iscratch.data());
+  EXPECT_EQ(dec.clusters, 1);
+  EXPECT_EQ(dec.extra_macs, 0);
+  // With workers saturated (one group per lane) an identical merge is an
+  // exact critical-path tie; ties break toward fewer groups because they
+  // delete whole pack+dispatch terms of total work.
+  EXPECT_LE(dec.predicted_after, dec.predicted_before);
+  for (const int c : in.cluster) EXPECT_EQ(c, 0);
 }
 
-TEST(CoarsenPlan, DisjointGroupsNeverMergeAtAnyBias) {
+TEST(CoarsenPlan, DisjointGroupsNeverMerge) {
   const std::vector<int> oc;
   std::vector<std::vector<int>> kept_ch(4);
   for (int i = 0; i < 4; ++i) {
@@ -173,17 +172,14 @@ TEST(CoarsenPlan, DisjointGroupsNeverMergeAtAnyBias) {
   cost.pack_macs_per_elem = 1.0;
   cost.overhead_macs = 20000.0;
   cost.threads = 4;
-  for (const double bias : {plan::kMinCoarsenMacBias, 1.0,
-                            plan::kMaxCoarsenMacBias}) {
-    PlanInputs in = make_inputs(kept_ch, &oc, 64);
-    const plan::CoarsenDecision dec = plan::coarsen_plan(
-        in.groups.data(), 4, 1, 0, cost, bias, in.bits.data(),
-        in.cluster.data(), in.iscratch.data());
-    EXPECT_EQ(dec.clusters, 4) << "bias " << bias;
-    EXPECT_EQ(dec.extra_macs, 0) << "bias " << bias;
-    EXPECT_EQ(dec.predicted_after, dec.predicted_before) << "bias " << bias;
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(in.cluster[i], i);
-  }
+  PlanInputs in = make_inputs(kept_ch, &oc, 64);
+  const plan::CoarsenDecision dec =
+      plan::coarsen_plan(in.groups.data(), 4, 1, 0, cost, in.bits.data(),
+                         in.cluster.data(), in.iscratch.data());
+  EXPECT_EQ(dec.clusters, 4);
+  EXPECT_EQ(dec.extra_macs, 0);
+  EXPECT_EQ(dec.predicted_after, dec.predicted_before);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(in.cluster[i], i);
 }
 
 TEST(CoarsenPlan, UnequalKeptFiltersNeverMerge) {
@@ -203,9 +199,9 @@ TEST(CoarsenPlan, UnequalKeptFiltersNeverMerge) {
   cost.pack_macs_per_elem = 1.0;
   cost.overhead_macs = 20000.0;
   cost.threads = 4;
-  const plan::CoarsenDecision dec = plan::coarsen_plan(
-      in.groups.data(), 2, 1, 0, cost, plan::kMinCoarsenMacBias,
-      in.bits.data(), in.cluster.data(), in.iscratch.data());
+  const plan::CoarsenDecision dec =
+      plan::coarsen_plan(in.groups.data(), 2, 1, 0, cost, in.bits.data(),
+                         in.cluster.data(), in.iscratch.data());
   EXPECT_EQ(dec.clusters, 2);
 }
 
@@ -241,10 +237,9 @@ TEST(CoarsenPlan, MixedPositionKindsNeverMerge) {
   cost.overhead_macs = 20000.0;
   cost.threads = 4;
   std::vector<int> cluster(2), iscratch(plan::coarsen_iscratch_ints(2));
-  const plan::CoarsenDecision dec = plan::coarsen_plan(
-      g, 2, /*ch_words=*/1, /*pos_words=*/1, cost,
-      plan::kMinCoarsenMacBias, bits.data(), cluster.data(),
-      iscratch.data());
+  const plan::CoarsenDecision dec =
+      plan::coarsen_plan(g, 2, /*ch_words=*/1, /*pos_words=*/1, cost,
+                         bits.data(), cluster.data(), iscratch.data());
   EXPECT_EQ(dec.clusters, 2);
 }
 
@@ -424,7 +419,9 @@ TEST(CoarsenKernel, KeepAllTwoMemberGroupMatchesOneMemberBothRegimes) {
   // The same sample as a two-member group sits beside a second member in
   // one wider (i)gemm and scatter; each member's bytes must not change. The
   // second member repeats the first one's planes, so in int8 the group
-  // quantizes at the one-member scale too.
+  // quantizes at the one-member scale too. int8 quantizes a step's input
+  // once, before the tile loop, so its output must not depend on the tile
+  // width either: every tile matches the untiled (tile 0) bytes.
   KernelRig rig;
   std::copy(rig.x.begin(), rig.x.begin() + rig.in_floats(),
             rig.x.begin() + rig.in_floats());
@@ -438,8 +435,10 @@ TEST(CoarsenKernel, KeepAllTwoMemberGroupMatchesOneMemberBothRegimes) {
     return std::memcmp(a.data() + sa * slot, b.data() + sb * slot,
                        slot * sizeof(float)) == 0;
   };
+  static_assert(kKeepAllTiles[0] == 0, "tile 0 is the untiled reference");
   for (const bool with_bias : {true, false}) {
     rig.with_bias = with_bias;
+    std::vector<float> untiled_one_i8, untiled_two_i8;
     for (const int64_t tile : kKeepAllTiles) {
       rig.tile = tile;
       rig.samples = {0};
@@ -448,6 +447,15 @@ TEST(CoarsenKernel, KeepAllTwoMemberGroupMatchesOneMemberBothRegimes) {
       rig.samples = {0, 1};
       const std::vector<float> two_f32 = rig.run_f32(keep_all);
       const std::vector<float> two_i8 = rig.run_i8(qw, keep_all);
+      if (tile == 0) {
+        untiled_one_i8 = one_i8;
+        untiled_two_i8 = two_i8;
+      }
+      EXPECT_TRUE(bitwise_equal(one_i8, untiled_one_i8))
+          << "int8 one member, tile " << tile << " vs 0, bias " << with_bias;
+      EXPECT_TRUE(bitwise_equal(two_i8, untiled_two_i8))
+          << "int8 two members, tile " << tile << " vs 0, bias "
+          << with_bias;
       for (const int member : {0, 1}) {
         EXPECT_TRUE(same_slot(two_f32, member, one_f32, 0))
             << "f32 member " << member << ", tile " << tile << ", bias "
@@ -617,11 +625,13 @@ TEST(CoarsenKernel, GroupWritesEveryMemberElementAndNoOtherSample) {
 
 // Hand-built near-identical masks on the first conv (whose input is the
 // network input, so the test can zero exactly the entries the masks drop —
-// the gate invariant union safety relies on). Sample i drops input channel
-// i % 3 and a private 32-column spatial block, so all 8 masks are
-// pairwise distinct (8 exact-identity buckets) but heavily overlapping.
+// the gate invariant union safety relies on). Every sample drops input
+// channel 1 and a private kBlock-position spatial block, so all 8 masks
+// are pairwise distinct (8 exact-identity buckets) but overlap so heavily
+// that the coarsening cost model merges them.
 struct E2ERig {
   static constexpr int kBatch = 8;
+  static constexpr int kBlock = 8;  // positions each sample drops
   std::unique_ptr<models::ConvNet> net;
   nn::Conv2d* conv0 = nullptr;
   Tensor x;
@@ -638,11 +648,11 @@ struct E2ERig {
     const int64_t plane = 16 * 16;
     for (int i = 0; i < kBatch; ++i) {
       nn::ConvRuntimeMask& m = masks[static_cast<size_t>(i)];
-      const int drop_ch = i % 3;
+      const int drop_ch = 1;
       for (int c = 0; c < 3; ++c) {
         if (c != drop_ch) m.channels.push_back(c);
       }
-      const int p0 = 32 * i, p1 = p0 + 32;
+      const int p0 = kBlock * i, p1 = p0 + kBlock;
       for (int p = 0; p < plane; ++p) {
         if (p < p0 || p >= p1) m.positions.push_back(p);
       }
@@ -672,7 +682,7 @@ struct E2ERig {
 TEST(CoarsenE2E, MergedScheduleBitwiseEqualsModuleWalkZeroGrowthF32) {
   E2ERig rig;
   rig.net->set_coarsen_policy(
-      {plan::CoarsenMode::kAuto, plan::kMinCoarsenMacBias});
+      plan::CoarsenMode::kAuto);
   plan::InferencePlan& plan = rig.net->inference_plan(3, 16, 16);
   rig.bind_conv(plan);
 
@@ -698,9 +708,8 @@ TEST(CoarsenE2E, MergedScheduleBitwiseEqualsModuleWalkZeroGrowthF32) {
     EXPECT_EQ(ctx.workspace().grow_count(), grows) << "pass " << pass;
   }
   // All 8 masks are distinct, so exact-identity bucketing sees 8 groups;
-  // at the floor MAC bias the latency model must find merges among these
-  // near-identical kept sets (the merged schedule halves the ceil(G/W)
-  // dispatch rounds for a handful of union MACs).
+  // the latency model must find merges among these near-identical kept
+  // sets (fewer ceil(G/W) dispatch rounds for a handful of union MACs).
   EXPECT_EQ(plan.last_mask_groups_raw(), E2ERig::kBatch);
   EXPECT_LT(plan.last_mask_groups(), plan.last_mask_groups_raw());
   EXPECT_GT(plan.last_coarsen_extra_macs(), 0);
@@ -710,7 +719,7 @@ TEST(CoarsenE2E, MergedScheduleBitwiseEqualsModuleWalkZeroGrowthF32) {
 
 TEST(CoarsenE2E, CoarsenOffExecutesExactIdentityButStaysBitwise) {
   E2ERig rig;
-  rig.net->set_coarsen_policy({plan::CoarsenMode::kOff, 1.0});
+  rig.net->set_coarsen_policy(plan::CoarsenMode::kOff);
   plan::InferencePlan& plan = rig.net->inference_plan(3, 16, 16);
   rig.bind_conv(plan);
   rig.conv0->set_runtime_masks(rig.masks);
@@ -737,7 +746,7 @@ TEST(CoarsenE2E, Int8CoarsenedPassZeroGrowthWithinAccuracyBudget) {
   // f32 per-sample module walk reference (int8 is tolerance-compared, not
   // bitwise: group membership feeds the dynamic activation scale).
   rig.net->set_coarsen_policy(
-      {plan::CoarsenMode::kAuto, plan::kMinCoarsenMacBias});
+      plan::CoarsenMode::kAuto);
   plan::InferencePlan& plan = rig.net->inference_plan(3, 16, 16);
   rig.bind_conv(plan);
   rig.conv0->set_runtime_masks(rig.masks);

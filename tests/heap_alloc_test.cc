@@ -5,11 +5,11 @@
 // the way a serving replica drives its plan, and after an explicit
 // InferencePlan::reserve() for the case's largest batch. A case is warm:
 //   - for a dense plan (no pruning engine) after reserve(): from pass 0;
-//   - otherwise from pass 2 (counting from 0). Unreserved, pass 0 sizes the
-//     arena and the plan's per-pass storage; gated, pass 1 warms the second
-//     of the two mask vectors each Conv2d alternates between passes;
-//   - with alternating batch sizes: from pass 4, once each size has run
-//     twice.
+//   - otherwise from pass 1 (counting from 0). Unreserved, pass 0 sizes the
+//     arena and the plan's per-pass storage; gated, pass 0 sizes the gates'
+//     and convs' mask storage, which only grows;
+//   - with alternating batch sizes also from pass 1: pass 0 runs the larger
+//     batch, and every smaller one fits the storage it left behind.
 // The cases:
 //   - dense vgg16, resnet20 and small_cnn (w0.25, 32x32);
 //   - f32 vgg16 w0.25 32x32, batch 8, channel/spatial drop 0.5/0.3, a
@@ -154,9 +154,7 @@ void expect_warm_passes_allocate_nothing(const Case& c, bool reserve) {
                                            c.spatial_drop));
   }
   const std::vector<Tensor> inputs = make_inputs(c);
-  const int warmup = c.alternate_batch > 0 ? 4
-                     : c.dense() && reserve ? 0
-                                            : 2;
+  const int warmup = c.dense() && reserve ? 0 : 1;
 
   nn::ExecutionContext ctx;
   plan::InferencePlan& plan = net->inference_plan(3, c.image, c.image);

@@ -56,7 +56,7 @@ class TracedRun {
     // These tests assert multi-lane STRUCTURE (group spans on >= 2 worker
     // lanes, >= 2 exported tids); union coarsening merging similar masks
     // below 2 groups would collapse the lanes, so pin it off here.
-    net_->set_coarsen_policy({plan::CoarsenMode::kOff, 1.0});
+    net_->set_coarsen_policy(plan::CoarsenMode::kOff);
     plan_ = &net_->inference_plan(3, 32, 32);
     plan_->reserve(ctx_.workspace(), kBatch);
   }

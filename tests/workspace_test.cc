@@ -144,7 +144,7 @@ TEST(ExecutionContext, MaskedForwardBitwiseMatchesPlain) {
   // same MAC count as the module walk); union coarsening deliberately
   // executes superset MACs and has its own parity coverage in
   // tests/coarsen_test.cc.
-  net->set_coarsen_policy({plan::CoarsenMode::kOff, 1.0});
+  net->set_coarsen_policy(plan::CoarsenMode::kOff);
 
   Tensor plain = net->forward(x);
   const int64_t plain_macs = net->last_macs();

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <iostream>
@@ -113,22 +110,20 @@ void add_prune_flags(FlagSet& flags) {
                    "mask ordering: attention | random | inverse");
 }
 
-void add_quantize_flag(FlagSet& flags) {
+// True when the settings drop any channel or position.
+bool drops_anything(const core::PruneSettings& s) {
+  const auto nonzero = [](const std::vector<float>& v) {
+    return std::any_of(v.begin(), v.end(), [](float x) { return x > 0.f; });
+  };
+  return nonzero(s.channel_drop) || nonzero(s.spatial_drop);
+}
+
+// Registers the plan flags every plan-running command shares.
+void add_plan_flags(FlagSet& flags) {
   flags.add_string("quantize", "f32",
                    "numeric regime: f32 | int8 (int8 runs conv steps "
                    "through the quantized kernels; spatially-masked groups "
                    "fall back to f32)");
-}
-
-plan::NumericRegime regime_from_flags(const FlagSet& flags) {
-  const std::string q = flags.get_string("quantize");
-  if (q == "f32") return plan::NumericRegime::kF32;
-  if (q == "int8") return plan::NumericRegime::kInt8;
-  AD_CHECK(false) << " --quantize must be f32|int8, got " << q;
-  return plan::NumericRegime::kF32;
-}
-
-void add_coarsen_flag(FlagSet& flags) {
   flags.add_string("coarsen", "auto",
                    "similar-mask union coarsening: off | auto (auto merges "
                    "near-identical mask groups into union supersets when "
@@ -136,35 +131,19 @@ void add_coarsen_flag(FlagSet& flags) {
                    "bitwise identical)");
 }
 
-plan::CoarsenPolicy coarsen_from_flags(const FlagSet& flags) {
+// Applies the plan flags to `net`. Both settings are sticky: they hold for
+// the cached plan and for every plan `net` compiles later.
+void apply_plan_flags(const FlagSet& flags, models::ConvNet& net) {
+  const std::string q = flags.get_string("quantize");
+  AD_CHECK(q == "f32" || q == "int8")
+      << " --quantize must be f32|int8, got " << q;
+  net.set_numeric_regime(q == "int8" ? plan::NumericRegime::kInt8
+                                     : plan::NumericRegime::kF32);
   const std::string c = flags.get_string("coarsen");
-  if (c == "off") return {plan::CoarsenMode::kOff, 1.0};
-  if (c == "auto") return {plan::CoarsenMode::kAuto, 1.0};
-  AD_CHECK(false) << " --coarsen must be off|auto, got " << c;
-  return {};
-}
-
-void add_tile_flag(FlagSet& flags) {
-  flags.add_string("tile", "auto",
-                   "spatially-tiled conv lowering: off | auto | N (auto "
-                   "tiles large output grids so the im2col panel stays "
-                   "cache-resident; N forces a fixed tile width in output "
-                   "positions; f32 output is bitwise identical either way)");
-}
-
-plan::TilePolicy tile_from_flags(const FlagSet& flags) {
-  const std::string t = flags.get_string("tile");
-  if (t == "off") return {plan::TileMode::kOff, 0};
-  if (t == "auto") return {plan::TileMode::kAuto, 0};
-  char* end = nullptr;
-  errno = 0;
-  const long n = std::strtol(t.c_str(), &end, 10);
-  // Past INT_MAX the width would wrap in the cast below (to 1, to a
-  // negative width that runs untiled, ...), so out-of-range is an error.
-  AD_CHECK(end != nullptr && *end == '\0' && errno != ERANGE && n > 0 &&
-           n <= INT_MAX)
-      << " --tile must be off|auto|N (positive integer), got " << t;
-  return {plan::TileMode::kFixed, static_cast<int>(n)};
+  AD_CHECK(c == "off" || c == "auto")
+      << " --coarsen must be off|auto, got " << c;
+  net.set_coarsen_policy(c == "off" ? plan::CoarsenMode::kOff
+                                    : plan::CoarsenMode::kAuto);
 }
 
 core::TrainConfig train_config(const FlagSet& flags) {
@@ -282,9 +261,7 @@ int cmd_eval(const std::vector<std::string>& args) {
   FlagSet flags("antidote_cli eval");
   add_common_flags(flags);
   add_prune_flags(flags);
-  add_quantize_flag(flags);
-  add_coarsen_flag(flags);
-  add_tile_flag(flags);
+  add_plan_flags(flags);
   flags.add_string("ckpt", "", "checkpoint to evaluate (required)");
   flags.parse(args);
   if (flags.help_requested()) {
@@ -295,9 +272,7 @@ int cmd_eval(const std::vector<std::string>& args) {
   auto data = make_data(flags);
   auto net = make_net(flags);
   nn::load_checkpoint(*net, flags.get_string("ckpt"));
-  net->set_numeric_regime(regime_from_flags(flags));
-  net->set_coarsen_policy(coarsen_from_flags(flags));
-  net->set_tile_policy(tile_from_flags(flags));
+  apply_plan_flags(flags, *net);
   const int size = image_size_from_flags(flags);
   const int64_t dense =
       models::measure_dense_flops(*net, 3, size, size).total_macs;
@@ -358,13 +333,11 @@ void add_trace_flags(FlagSet& flags) {
                  "perf_event_paranoid <= 2; falls back to timing-only)");
 }
 
-// Runs `passes` plan forwards of a batch assembled from `distinct` unique
-// images (one warm-up pass first, then Tracer::clear(), so the recorded
-// passes see warm CPU caches and a reserved arena). Returns the plan.
-plan::InferencePlan& run_traced_passes(models::ConvNet& net, int image_size,
-                                       int batch, int distinct, int passes,
-                                       uint64_t seed) {
-  net.set_training(false);
+// A batch of `batch` images cycling through `distinct` unique random ones
+// (duplicates draw identical masks, so the batch groups into <= distinct
+// compacted GEMMs). The same seed gives the same batch.
+Tensor duplicated_batch(int image_size, int batch, int distinct,
+                        uint64_t seed) {
   Rng rng(seed * 31 + 11);
   AD_CHECK_GT(distinct, 0);
   Tensor uniq = Tensor::randn({distinct, 3, image_size, image_size}, rng);
@@ -374,19 +347,34 @@ plan::InferencePlan& run_traced_passes(models::ConvNet& net, int image_size,
     std::memcpy(x.data() + i * sample, uniq.data() + (i % distinct) * sample,
                 static_cast<size_t>(sample) * sizeof(float));
   }
+  return x;
+}
+
+// One plan forward of `x`, staged into the context's arena the way a
+// serving worker stages its batch.
+void run_staged_pass(models::ConvNet& net, nn::ExecutionContext& ctx,
+                     const Tensor& x) {
+  ctx.begin_pass();
+  Tensor staged = ctx.alloc(x.shape());
+  std::memcpy(staged.data(), x.data(),
+              static_cast<size_t>(x.size()) * sizeof(float));
+  net.forward(staged, ctx);
+}
+
+// Runs `passes` plan forwards of duplicated_batch() (one warm-up pass
+// first, then Tracer::clear(), so the recorded passes see warm CPU caches
+// and a reserved arena). Returns the plan.
+plan::InferencePlan& run_traced_passes(models::ConvNet& net, int image_size,
+                                       int batch, int distinct, int passes,
+                                       uint64_t seed) {
+  net.set_training(false);
+  const Tensor x = duplicated_batch(image_size, batch, distinct, seed);
   nn::ExecutionContext ctx;
   plan::InferencePlan& plan = net.inference_plan(3, image_size, image_size);
   plan.reserve(ctx.workspace(), batch);
-  auto run_pass = [&] {
-    ctx.begin_pass();
-    Tensor staged = ctx.alloc(x.shape());
-    std::memcpy(staged.data(), x.data(),
-                static_cast<size_t>(x.size()) * sizeof(float));
-    net.forward(staged, ctx);
-  };
-  run_pass();
+  run_staged_pass(net, ctx, x);
   obs::Tracer::instance().clear();  // discard the warm-up's spans
-  for (int p = 0; p < passes; ++p) run_pass();
+  for (int p = 0; p < passes; ++p) run_staged_pass(net, ctx, x);
   return plan;
 }
 
@@ -396,11 +384,8 @@ plan::InferencePlan& run_traced_passes(models::ConvNet& net, int image_size,
 std::unique_ptr<core::DynamicPruningEngine> make_trace_engine(
     const FlagSet& flags, models::ConvNet& net, bool* defaulted) {
   core::PruneSettings settings = settings_from_flags(flags, net);
-  const auto nonzero = [](const std::vector<float>& v) {
-    return std::any_of(v.begin(), v.end(), [](float x) { return x > 0.f; });
-  };
   *defaulted = false;
-  if (!nonzero(settings.channel_drop) && !nonzero(settings.spatial_drop)) {
+  if (!drops_anything(settings)) {
     settings.channel_drop.assign(settings.channel_drop.size(), 0.3f);
     *defaulted = true;
   }
@@ -505,10 +490,10 @@ void print_profile_report(const plan::InferencePlan& plan, int passes) {
 void print_coarsen_report(models::ConvNet& net, plan::InferencePlan& plan,
                           int image_size, int batch, int distinct,
                           int passes, uint64_t seed) {
-  const plan::CoarsenPolicy policy = plan.coarsen();
-  std::printf("\nmask coarsening: %s (mac bias %.2f), last pass groups "
+  const plan::CoarsenMode mode = plan.coarsen();
+  std::printf("\nmask coarsening: %s, last pass groups "
               "%d -> %d, union-added MACs %lld (%.2f%% of executed)\n",
-              plan::coarsen_mode_name(policy.mode), policy.mac_bias,
+              plan::coarsen_mode_name(mode),
               plan.last_mask_groups_raw(), plan.last_mask_groups(),
               static_cast<long long>(plan.last_coarsen_extra_macs()),
               100.0 * plan.last_coarsen_extra_mac_frac());
@@ -536,39 +521,24 @@ void print_coarsen_report(models::ConvNet& net, plan::InferencePlan& plan,
                 static_cast<long long>(op.last_coarsen_extra_macs),
                 pred_col, win_col);
   }
-  if (policy.mode != plan::CoarsenMode::kAuto) return;
+  if (mode != plan::CoarsenMode::kAuto) return;
 
   // Measured merge win: the same duplicated batch, timed whole-forward
   // under exact-identity grouping and under coarsening (warm arena, one
   // warm-up pass per mode).
-  Rng rng(seed * 31 + 11);
-  AD_CHECK_GT(distinct, 0);
-  Tensor uniq = Tensor::randn({distinct, 3, image_size, image_size}, rng);
-  Tensor x({batch, 3, image_size, image_size});
-  const int64_t sample = uniq.size() / distinct;
-  for (int i = 0; i < batch; ++i) {
-    std::memcpy(x.data() + i * sample, uniq.data() + (i % distinct) * sample,
-                static_cast<size_t>(sample) * sizeof(float));
-  }
+  const Tensor x = duplicated_batch(image_size, batch, distinct, seed);
   nn::ExecutionContext ctx;
   plan.reserve(ctx.workspace(), batch);
-  const auto timed = [&](plan::CoarsenMode mode) {
-    net.set_coarsen_policy({mode, policy.mac_bias});
-    const auto run_pass = [&] {
-      ctx.begin_pass();
-      Tensor staged = ctx.alloc(x.shape());
-      std::memcpy(staged.data(), x.data(),
-                  static_cast<size_t>(x.size()) * sizeof(float));
-      net.forward(staged, ctx);
-    };
-    run_pass();  // warm-up under this mode
+  const auto timed = [&](plan::CoarsenMode timed_mode) {
+    net.set_coarsen_policy(timed_mode);
+    run_staged_pass(net, ctx, x);  // warm-up under this mode
     WallTimer timer;
-    for (int p = 0; p < std::max(1, passes); ++p) run_pass();
+    for (int p = 0; p < std::max(1, passes); ++p) run_staged_pass(net, ctx, x);
     return timer.millis() / std::max(1, passes);
   };
   const double off_ms = timed(plan::CoarsenMode::kOff);
   const double auto_ms = timed(plan::CoarsenMode::kAuto);
-  net.set_coarsen_policy(policy);
+  net.set_coarsen_policy(mode);
   std::printf("measured: exact-identity %.3f ms/pass vs coarsened %.3f "
               "ms/pass (%.2fx win)\n",
               off_ms, auto_ms, auto_ms > 0.0 ? off_ms / auto_ms : 0.0);
@@ -583,8 +553,7 @@ int cmd_trace(const std::vector<std::string>& args) {
   FlagSet flags("antidote_cli trace");
   add_common_flags(flags);
   add_prune_flags(flags);
-  add_quantize_flag(flags);
-  add_tile_flag(flags);
+  add_plan_flags(flags);
   add_trace_flags(flags);
   flags.add_string("out", "trace.json", "Chrome trace-event JSON path");
   flags.add_string("ckpt", "", "checkpoint to load first (optional)");
@@ -606,8 +575,7 @@ int cmd_trace(const std::vector<std::string>& args) {
   if (const std::string ckpt = flags.get_string("ckpt"); !ckpt.empty()) {
     nn::load_checkpoint(*net, ckpt);
   }
-  net->set_numeric_regime(regime_from_flags(flags));
-  net->set_tile_policy(tile_from_flags(flags));
+  apply_plan_flags(flags, *net);
   bool defaulted = false;
   auto engine = make_trace_engine(flags, *net, &defaulted);
   if (defaulted) {
@@ -653,9 +621,7 @@ int cmd_plan_dump(const std::vector<std::string>& args) {
   FlagSet flags("antidote_cli plan-dump");
   add_common_flags(flags);
   add_prune_flags(flags);
-  add_quantize_flag(flags);
-  add_coarsen_flag(flags);
-  add_tile_flag(flags);
+  add_plan_flags(flags);
   add_trace_flags(flags);
   flags.add_string("ckpt", "", "checkpoint to load first (optional)");
   flags.add_bool("profile", false,
@@ -679,18 +645,12 @@ int cmd_plan_dump(const std::vector<std::string>& args) {
     engine = make_trace_engine(flags, *net, &drops_defaulted);
   } else {
     const core::PruneSettings settings = settings_from_flags(flags, *net);
-    const auto nonzero = [](const std::vector<float>& v) {
-      return std::any_of(v.begin(), v.end(),
-                         [](float x) { return x > 0.f; });
-    };
-    if (nonzero(settings.channel_drop) || nonzero(settings.spatial_drop)) {
+    if (drops_anything(settings)) {
       engine = std::make_unique<core::DynamicPruningEngine>(*net, settings);
     }
   }
   net->set_training(false);
-  net->set_numeric_regime(regime_from_flags(flags));
-  net->set_coarsen_policy(coarsen_from_flags(flags));
-  net->set_tile_policy(tile_from_flags(flags));
+  apply_plan_flags(flags, *net);
   const int size = image_size_from_flags(flags);
   plan::InferencePlan& plan = net->inference_plan(3, size, size);
   std::cout << net->model_name() << " @ 3x" << size << "x" << size
@@ -769,9 +729,7 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
   FlagSet flags("antidote_cli serve-bench");
   add_common_flags(flags);
   add_prune_flags(flags);
-  add_quantize_flag(flags);
-  add_coarsen_flag(flags);
-  add_tile_flag(flags);
+  add_plan_flags(flags);
   flags.add_string("ckpt", "", "checkpoint loaded into every replica "
                    "(optional; random init otherwise)");
   flags.add_int("workers", 1, "batch workers (one model replica each)");
@@ -836,11 +794,7 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
   // Serve densely (no gates at all) unless pruning is actually requested;
   // zero-drop gates would still pay the attention overhead every forward.
   const double budget_ms = flags.get_double("budget-ms");
-  const auto nonzero = [](const std::vector<float>& v) {
-    return std::any_of(v.begin(), v.end(), [](float x) { return x > 0.f; });
-  };
-  if (budget_ms > 0.0 || nonzero(prune.channel_drop) ||
-      nonzero(prune.spatial_drop)) {
+  if (budget_ms > 0.0 || drops_anything(prune)) {
     config.prune = prune;
   }
   if (budget_ms > 0.0) {
@@ -858,22 +812,16 @@ int cmd_serve_bench(const std::vector<std::string>& args) {
   }
   config.compute_cap = flags.get_double("compute-cap");
 
-  const plan::NumericRegime regime = regime_from_flags(flags);
-  const plan::CoarsenPolicy coarsen = coarsen_from_flags(flags);
-  const plan::TilePolicy tile = tile_from_flags(flags);
   serving::InferenceServer server(
       [&](int replica) {
         Rng rng(seed);  // same seed: every replica gets the same weights
         auto net = models::make_model(model, num_classes, width, rng);
         if (!ckpt.empty()) nn::load_checkpoint(*net, ckpt);
-        // Replicas compile their plans lazily per shape; the regime,
-        // coarsening and tiling policies set here apply to every one of
-        // them, so quantized serving never executes an f32 conv pass
-        // first, --coarsen=off replicas are never coarsened, and the
-        // tile policy shapes each replica's reserved arena.
-        net->set_numeric_regime(regime);
-        net->set_coarsen_policy(coarsen);
-        net->set_tile_policy(tile);
+        // Replicas compile their plans lazily per shape; the plan flags
+        // set here apply to every one of them, so quantized serving never
+        // executes an f32 conv pass first and --coarsen=off replicas are
+        // never coarsened.
+        apply_plan_flags(flags, *net);
         (void)replica;
         return net;
       },
