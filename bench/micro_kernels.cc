@@ -156,11 +156,11 @@ BENCHMARK(BM_ConvSpatialMasked)
 // 64 kept channels, 11 kept positions) — with range(1) members. The pair
 // times the fused group kernel against the old algorithm, member-by-member
 // conv_sample_masked (a stacked-offset GEMM plus a scalar scatter-add).
-struct SpatialGroupShape {
-  int ch, hw, kept_ch, kept_pos;
+struct GroupShape {
+  int ch, hw, kept_ch, kept_pos;  // kept_pos 0: a channel-path group
 };
-constexpr SpatialGroupShape kSpatialGroupShapes[] = {{16, 32, 8, 717},
-                                                     {128, 4, 64, 11}};
+constexpr GroupShape kSpatialGroupShapes[] = {{16, 32, 8, 717},
+                                              {128, 4, 64, 11}};
 
 // `count` ascending distinct indices of [0, n).
 std::vector<int> random_subset(int count, int n, Rng& rng) {
@@ -175,14 +175,14 @@ std::vector<int> random_subset(int count, int n, Rng& rng) {
   return all;
 }
 
-struct SpatialGroupRig {
+struct GroupRig {
   ConvGeom g;
   std::vector<float> w, x, y;
   std::vector<int> iota, samples;
   nn::ConvRuntimeMask mask;
   Workspace ws;
 
-  SpatialGroupRig(const SpatialGroupShape& s, int members)
+  GroupRig(const GroupShape& s, int members)
       : g{s.ch, s.hw, s.hw, 3, 3, 1, 1} {
     Rng rng(8);
     w.resize(static_cast<size_t>(s.ch) * g.patch_rows());
@@ -206,8 +206,8 @@ struct SpatialGroupRig {
 };
 
 void BM_SpatialGroupFused(benchmark::State& state) {
-  SpatialGroupRig rig(kSpatialGroupShapes[state.range(0)],
-                      static_cast<int>(state.range(1)));
+  GroupRig rig(kSpatialGroupShapes[state.range(0)],
+               static_cast<int>(state.range(1)));
   int64_t macs = 0;
   for (auto _ : state) {
     std::fill(rig.y.begin(), rig.y.end(), 0.f);
@@ -221,8 +221,8 @@ void BM_SpatialGroupFused(benchmark::State& state) {
 }
 
 void BM_SpatialGroupPerSample(benchmark::State& state) {
-  SpatialGroupRig rig(kSpatialGroupShapes[state.range(0)],
-                      static_cast<int>(state.range(1)));
+  GroupRig rig(kSpatialGroupShapes[state.range(0)],
+               static_cast<int>(state.range(1)));
   int64_t macs = 0;
   for (auto _ : state) {
     std::fill(rig.y.begin(), rig.y.end(), 0.f);
@@ -247,6 +247,30 @@ BENCHMARK(BM_SpatialGroupPerSample)
     ->Args({0, 8})
     ->Args({1, 1})
     ->Args({1, 8});
+
+// One channel mask group at vgg16-w0.25 conv10's shape (128->128, 64 kept
+// channels, every filter) on a range(0) x range(0) grid with range(1)
+// members. At 2x2 the 1-3 members lower 4, 8 or 12 columns, narrower than
+// one gemm_nn panel, so the filter-lane kernel runs; the 4x4 one-member
+// group lowers 16 and takes gemm_nn.
+void BM_ChannelGroupNarrow(benchmark::State& state) {
+  GroupRig rig({128, static_cast<int>(state.range(0)), 64, 0},
+               static_cast<int>(state.range(1)));
+  int64_t macs = 0;
+  for (auto _ : state) {
+    macs = nn::conv_group_masked(rig.x.data(), rig.in_floats(), rig.g,
+                                 rig.w.data(), rig.g.in_c, nullptr, rig.mask,
+                                 rig.samples, rig.ids(), rig.y.data(),
+                                 rig.in_floats(), rig.ws);
+    benchmark::DoNotOptimize(rig.y.data());
+  }
+  state.SetItemsProcessed(state.iterations() * macs);
+}
+BENCHMARK(BM_ChannelGroupNarrow)
+    ->Args({2, 1})
+    ->Args({2, 2})
+    ->Args({2, 3})
+    ->Args({4, 1});
 
 // Full gate forward (attention + top-k + masking): the bookkeeping cost
 // dynamic pruning pays per layer. Compare against BM_ConvDense to see it

@@ -701,6 +701,64 @@ int64_t conv_group_spatial(const float* x_base, int64_t in_floats,
   return static_cast<int64_t>(ok) * pk * ck * kk * gs;
 }
 
+// Register tile of the narrow f32 channel kernel, gemm_nn's 4 x 16
+// micro-kernel with its operands swapped: kNarrowFilters filters on the
+// SIMD lanes by kNarrowCols lowered columns.
+constexpr int kNarrowFilters = kGemmPanelCols;
+constexpr int kNarrowCols = 4;
+
+// Outputs of one kNarrowFilters-filter tile over kCols lowered columns:
+// out[c][l] = sum over kept rows r = ci * kk + t ascending of
+// w[filter l, ch[ci], t] * cols[r][c]. The weights are read in place:
+// filter l's weight at row r is wr[fidx[l]] with wr = w + ch[ci] * kk + t,
+// one SIMD gather per kLanes filters. Each output accumulates from +0 with
+// mul-then-add, gemm_nn's per-element order with the product's operands as
+// gemm_nn orders them, so it equals gemm_nn's output bit for bit. The
+// unroll pragmas serve the scalar build, as in spatial_tile_products.
+template <int kCols>
+void filter_lane_tile(const float* w, std::span<const int> ch, int kk,
+                      const int32_t* fidx, const float* cols, int64_t ld,
+                      float* out) {
+  constexpr int kVecs = kNarrowFilters / simd::kLanes;
+  simd::vf acc[kCols][kVecs];
+  for (int c = 0; c < kCols; ++c) {
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) acc[c][v] = simd::zero();
+  }
+  const float* brow = cols;
+  for (const int c_in : ch) {
+    const float* wc = w + static_cast<int64_t>(c_in) * kk;
+    for (int t = 0; t < kk; ++t, brow += ld) {
+      simd::vf wv[kVecs];
+#pragma GCC unroll 16
+      for (int v = 0; v < kVecs; ++v) {
+        wv[v] = simd::gather(wc + t, fidx + v * simd::kLanes);
+      }
+      for (int c = 0; c < kCols; ++c) {
+        const simd::vf b = simd::set1(brow[c]);
+#pragma GCC unroll 16
+        for (int v = 0; v < kVecs; ++v) {
+          acc[c][v] = simd::madd(wv[v], b, acc[c][v]);
+        }
+      }
+    }
+  }
+  for (int c = 0; c < kCols; ++c) {
+#pragma GCC unroll 16
+    for (int v = 0; v < kVecs; ++v) {
+      simd::store(out + c * kNarrowFilters + v * simd::kLanes, acc[c][v]);
+    }
+  }
+}
+
+using FilterLaneTileFn = void (*)(const float*, std::span<const int>, int,
+                                  const int32_t*, const float*, int64_t,
+                                  float*);
+// Entry c - 1 runs a block of c columns (the last block may be ragged).
+constexpr FilterLaneTileFn kFilterLaneTiles[kNarrowCols] = {
+    &filter_lane_tile<1>, &filter_lane_tile<2>, &filter_lane_tile<3>,
+    &filter_lane_tile<4>};
+
 // Channel/filter skipping for one mask group, and the keep-all dense step
 // (a one-member group with an empty mask). One pipeline for both regimes:
 // the kept-filter weight panel (packed only when a channel or filter is
@@ -709,7 +767,11 @@ int64_t conv_group_spatial(const float* x_base, int64_t in_floats,
 // then per tile of output positions lower -> (i)gemm -> store. Members sit
 // side by side as column slices of one operand, so the whole group is ONE
 // compacted GEMM per tile. The stores write every kept filter's row; the
-// dropped filters' rows are zero-filled.
+// dropped filters' rows are zero-filled. An f32 group whose operand is
+// narrower than one gemm_nn panel would run on gemm_nn's scalar edge tile;
+// it packs no panel and runs the filter-lane kernel instead, which reads
+// the weights in place and stores each tile's outputs straight into the
+// members' planes.
 int64_t conv_group_channels(const float* x_base, int64_t in_floats,
                             const ConvGeom& g, const float* w,
                             const Int8ConvWeights* qw, int out_c,
@@ -729,6 +791,7 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
   const bool tiled = tile > 0 && tile < pos;
   const int64_t tile_w = tiled ? tile : pos;
   const int64_t ldt = static_cast<int64_t>(gs) * tile_w;
+  const bool narrow = qw == nullptr && ldt < kGemmPanelCols;
 
   const float* w_panel = w;
   const int8_t* q_panel = nullptr;
@@ -740,7 +803,11 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
     q_wsum = qw->wsum.data();
     q_scale = qw->scale.data();
   }
-  if (ck < in_c || ok < out_c) {
+  // The narrow kernel's gather indices are filter offsets oc * in_c * kk.
+  const int64_t filter_floats = static_cast<int64_t>(in_c) * kk;
+  AD_CHECK(!narrow || out_c * filter_floats <= INT32_MAX)
+      << " filter offsets exceed the gather index range";
+  if (!narrow && (ck < in_c || ok < out_c)) {
     obs::PhaseScope span(obs::Phase::kPack);
     if (qw != nullptr) {
       int8_t* qdst = ws.alloc<int8_t>(static_cast<int64_t>(ok) * p4);
@@ -776,7 +843,8 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
                                padded_plane_bytes(g));
     qcols = ws.alloc<uint8_t>(p4 * ldt);
   }
-  float* y_sub = ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
+  float* y_sub =
+      narrow ? nullptr : ws.alloc_floats(static_cast<int64_t>(ok) * ldt);
   if (ok < out_c) {
     // The scatter stores only the kept filters' rows; zero the dropped
     // ones (oc_set is ascending, so a cursor walks it).
@@ -841,6 +909,47 @@ int64_t conv_group_channels(const float* x_base, int64_t in_floats,
             },
             /*grain=*/1);
       }
+    }
+    if (narrow) {
+      // Tiles of kNarrowFilters kept filters over the pool, as gemm_nn
+      // splits row panels; each tile owns its filters' output rows. Spare
+      // lanes of a ragged last tile repeat its last filter and are never
+      // stored. A stored value is the wide path's: the product, plus the
+      // bias when there is one.
+      obs::PhaseScope span(obs::Phase::kGemm);
+      parallel_for(
+          0, (ok + kNarrowFilters - 1) / kNarrowFilters,
+          [&](int64_t f0, int64_t f1) {
+            int32_t fidx[kNarrowFilters];
+            float outs[kNarrowCols * kNarrowFilters];
+            for (int64_t f = f0; f < f1; ++f) {
+              const int oi0 = static_cast<int>(f) * kNarrowFilters;
+              const int lanes = std::min(kNarrowFilters, ok - oi0);
+              for (int l = 0; l < kNarrowFilters; ++l) {
+                fidx[l] = static_cast<int32_t>(
+                    oc_set[static_cast<size_t>(oi0 + std::min(l, lanes - 1))] *
+                    filter_floats);
+              }
+              for (int64_t c0 = 0; c0 < ld; c0 += kNarrowCols) {
+                const int cols_here =
+                    static_cast<int>(std::min<int64_t>(kNarrowCols, ld - c0));
+                kFilterLaneTiles[cols_here - 1](w, ch, kk, fidx, cols + c0, ld,
+                                                outs);
+                for (int c = 0; c < cols_here; ++c) {
+                  const int64_t col = c0 + c;
+                  float* out = member_y(col / tw) + p0 + col % tw;
+                  for (int l = 0; l < lanes; ++l) {
+                    const int oc = oc_set[static_cast<size_t>(oi0 + l)];
+                    const float v = outs[c * kNarrowFilters + l];
+                    out[static_cast<int64_t>(oc) * pos] =
+                        bias != nullptr ? v + bias[oc] : v;
+                  }
+                }
+              }
+            }
+          },
+          /*grain=*/1);
+      continue;
     }
     {
       obs::PhaseScope span(obs::Phase::kGemm);
@@ -962,6 +1071,12 @@ size_t conv_group_masked_scratch_bytes(const ConvGeom& g, int out_c, int gs,
         Workspace::align_up(static_cast<size_t>(int8_align4(patch)) * ldc) +
         Workspace::align_up(static_cast<size_t>(out_c) * ldc *
                             sizeof(float));
+  } else if (ldc < kGemmPanelCols) {
+    // F32 narrower than one gemm_nn panel: the lowered tile alone (the
+    // filter-lane kernel reads the weights in place and stores straight
+    // into the outputs).
+    worst =
+        Workspace::align_up(static_cast<size_t>(patch) * ldc * sizeof(float));
   } else {
     // F32: the panel, the lowered tile, y_sub and the GEMM's panels.
     worst =

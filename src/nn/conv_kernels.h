@@ -19,9 +19,10 @@
 //     keep-everything point of the same computation: one call per sample
 //     with an empty mask. Channel masks pack the kept filter rows ONCE
 //     per group into a weight panel in the group's workspace; full kept
-//     sets and spatial masks read the weights in place. Per-element
-//     accumulation order is unchanged,
-//     so grouped outputs are bitwise identical to the per-sample kernels'.
+//     sets, spatial masks and f32 groups narrower than one GEMM panel
+//     read the weights in place. Per-element accumulation order is
+//     unchanged, so grouped outputs are bitwise identical to the
+//     per-sample kernels'.
 //
 // The matching *_bytes functions report the worst-case arena high-water
 // of one call, mirroring the allocation sequence (including the
@@ -205,6 +206,17 @@ void pack_weight_panel_i8_into(const Int8ConvWeights& qw, int kk,
 //      or u8 quads from the quantized planes — then ONE (i)gemm over the
 //      group into a compacted y_sub tile, then the scatter places each
 //      member's columns into its kept filters' rows, bias fused.
+//      An f32 group whose operand is narrower than one gemm_nn panel
+//      (gs * tile width < kGemmPanelCols) would run on gemm_nn's scalar edge
+//      tile. It packs no panel (step 1 is skipped), allocates no y_sub and
+//      no GEMM panels, and runs a filter-lane kernel instead: 16 kept
+//      filters on the SIMD lanes by 4 lowered columns, each kept
+//      (channel, tap) row's 16 weights gathered in place from `w`, the
+//      16-filter tiles split over the pool, each tile's outputs stored
+//      straight into the members' rows with the bias added. Every output
+//      sums its products from +0 in ascending row order with a separate
+//      multiply and add, gemm_nn's order, so the narrow result is bitwise
+//      the wide one.
 // Tiling splits only independent GEMM output columns (per-column
 // accumulation order untouched) and every tile of an int8 step quantizes
 // at the same scale, so tiled output is bitwise identical to untiled in
@@ -244,12 +256,14 @@ int64_t conv_group_masked(const float* x_base, int64_t in_floats,
 // Worst-case arena bytes of one conv_group_masked call with a group of
 // `gs` samples, maximized over every mask shape the geometry admits (full
 // index sets; the channel path of the regime — f32: the kept-filter panel,
-// the lowered tile, y_sub and the GEMM's panels; `int8_regime`, whose
+// the lowered tile, y_sub and the GEMM's panels, or for a group narrower
+// than one gemm_nn panel the lowered tile alone; `int8_regime`, whose
 // calls pass `qw`: the int8 panel with its wsum and scale, the group's u8
 // planes, one u8 operand tile and y_sub; the spatial path, in both regimes
 // — column panels, inverse table and product buffer — only when the conv
 // preserves the grid AND `spatial_masks`).
-// Monotone in gs, so a batch's worst case over any grouping is the
+// Monotone in gs (a narrow group's lowered tile is smaller than any wider
+// group's), so a batch's worst case over any grouping is the
 // single-group-of-n value (groups run sequentially between rewinds); it
 // covers a dense step's one-member keep-all calls too, and sizes one
 // worker's arena slice when groups run concurrently.

@@ -17,7 +17,7 @@ namespace {
 // the inner loop autovectorizes. kKC bounds the packed K slab so one A
 // panel (kMR x kKC) and the active B slab stay cache-resident.
 constexpr int kMR = 4;
-constexpr int kNR = 16;
+constexpr int kNR = kGemmPanelCols;
 constexpr int kKC = 256;
 
 // Below this many MACs the packing overhead dominates; use the simple

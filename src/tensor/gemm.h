@@ -29,6 +29,10 @@
 
 namespace antidote {
 
+// Columns of one packed B panel, the width of gemm_nn's register tile. A
+// narrower B runs entirely on the micro-kernel's scalar edge tile.
+inline constexpr int kGemmPanelCols = 16;
+
 // `ws` provides scratch for the packed panels; pass the ExecutionContext
 // workspace on the inference hot path so steady-state packing performs no
 // heap allocation. nullptr falls back to a thread-local arena.

@@ -45,6 +45,7 @@ char* Workspace::raw_alloc(size_t bytes) {
     if (b.capacity - b.used >= bytes) {
       char* p = b.data + b.used;
       b.used += bytes;
+      note_peak();
       return p;
     }
   }
@@ -58,6 +59,7 @@ char* Workspace::raw_alloc(size_t bytes) {
     current_ = i;
     if (blocks_[i].capacity >= bytes) {
       blocks_[i].used = bytes;
+      note_peak();
       return blocks_[i].data;
     }
   }
@@ -70,7 +72,12 @@ char* Workspace::raw_alloc(size_t bytes) {
   blocks_.push_back(b);
   current_ = blocks_.size() - 1;
   ++grow_count_;
+  note_peak();
   return b.data;
+}
+
+void Workspace::note_peak() {
+  peak_bytes_ = std::max(peak_bytes_, used_bytes());
 }
 
 void Workspace::rewind(Mark m) {

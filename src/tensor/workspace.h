@@ -79,6 +79,10 @@ class Workspace {
   // --- introspection (tests, benches) ---
   size_t capacity_bytes() const;    // total bytes reserved across blocks
   size_t used_bytes() const;        // bytes handed out since last reset
+  // The most bytes in use at once since construction, counted across
+  // blocks (and across rebinds of a view): the measured high-water that an
+  // ahead-of-time sizing formula must bound.
+  size_t peak_bytes() const { return peak_bytes_; }
   size_t block_count() const { return blocks_.size(); }
   // Number of heap growths over the workspace's lifetime. Steady-state
   // inference must stop incrementing this after the first pass.
@@ -103,6 +107,7 @@ class Workspace {
   };
 
   char* raw_alloc(size_t bytes);
+  void note_peak();  // raises peak_bytes_ to used_bytes()
   size_t current_used() const {
     return blocks_.empty() ? 0 : blocks_[current_].used;
   }
@@ -110,6 +115,7 @@ class Workspace {
   std::vector<Block> blocks_;
   size_t current_ = 0;  // block being bump-allocated from
   int64_t grow_count_ = 0;
+  size_t peak_bytes_ = 0;
   bool external_ = false;  // non-owning fixed view (bind_external)
 };
 

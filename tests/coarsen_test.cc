@@ -11,6 +11,11 @@
 //     module walk's dense kernel, and a two-member group (y_sub + scatter)
 //     gives every member the same bytes, f32 and int8, tiled or not, and
 //     int8 output does not depend on the tile width;
+//   - both sides of the channel path's width test: groups narrower than
+//     one gemm_nn panel (the filter-lane kernel) and wider ones, on 2x2
+//     and 3x3 grids with 1-4 members and 6 or 20 filters, equal the
+//     module walk's kernels member by member, and each call's measured
+//     arena peak stays within conv_group_masked_scratch_bytes;
 //   - coarsen_plan merge eligibility: identical groups always merge;
 //     disjoint, filter-mismatched or mixed-position-kind groups never
 //     merge — structural eligibility, not a cost outcome;
@@ -27,6 +32,7 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
@@ -35,6 +41,7 @@
 #include "nn/conv_kernels.h"
 #include "nn/execution_context.h"
 #include "plan/plan.h"
+#include "tensor/gemm.h"
 #include "tensor/workspace.h"
 
 namespace antidote {
@@ -247,7 +254,7 @@ TEST(CoarsenPlan, MixedPositionKindsNeverMerge) {
 
 struct KernelRig {
   ConvGeom g;
-  static constexpr int kOutC = 6;
+  int out_c;
   static constexpr int kN = 8;  // samples in x; `samples` picks the members
   std::vector<float> w, bias, x;
   std::vector<int> iota;
@@ -257,11 +264,12 @@ struct KernelRig {
   float y_init = 0.f;  // what every output starts as
   Workspace ws;
 
-  explicit KernelRig(ConvGeom geom = {8, 8, 8, 3, 3, 1, 1}) : g(geom) {
+  explicit KernelRig(ConvGeom geom = {8, 8, 8, 3, 3, 1, 1}, int filters = 6)
+      : g(geom), out_c(filters) {
     Rng rng(77);
-    w.resize(static_cast<size_t>(kOutC) * g.patch_rows());
+    w.resize(static_cast<size_t>(out_c) * g.patch_rows());
     for (float& v : w) v = static_cast<float>(rng.normal());
-    bias.resize(kOutC);
+    bias.resize(static_cast<size_t>(out_c));
     for (float& v : bias) v = static_cast<float>(rng.normal());
     x.resize(static_cast<size_t>(kN) * g.in_c * g.in_h * g.in_w);
     for (float& v : x) v = static_cast<float>(rng.normal());
@@ -272,7 +280,7 @@ struct KernelRig {
   int64_t in_floats() const {
     return static_cast<int64_t>(g.in_c) * g.in_h * g.in_w;
   }
-  int64_t out_floats() const { return kOutC * g.out_positions(); }
+  int64_t out_floats() const { return out_c * g.out_positions(); }
   nn::ConvIdentityIndices ids() const {
     return {iota.data(), iota.data()};
   }
@@ -295,19 +303,21 @@ struct KernelRig {
     }
   }
 
-  // The group kernel over `samples`.
-  std::vector<float> run_f32(const nn::ConvRuntimeMask& m) {
+  // The group kernel over `samples`, drawing its scratch from `arena`
+  // (default: the rig's workspace).
+  std::vector<float> run_f32(const nn::ConvRuntimeMask& m,
+                             Workspace* arena = nullptr) {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
-    nn::conv_group_masked(x.data(), in_floats(), g, w.data(), kOutC,
+    nn::conv_group_masked(x.data(), in_floats(), g, w.data(), out_c,
                           bias_or_null(), m, samples, ids(), y.data(),
-                          out_floats(), ws, tile);
+                          out_floats(), arena != nullptr ? *arena : ws, tile);
     return y;
   }
   // The module walk's per-sample kernel, member by member.
   std::vector<float> run_reference(const nn::ConvRuntimeMask& m) {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
     for (int b : samples) {
-      nn::conv_sample_masked(x.data() + b * in_floats(), g, w.data(), kOutC,
+      nn::conv_sample_masked(x.data() + b * in_floats(), g, w.data(), out_c,
                              bias_or_null(), m, ids(),
                              y.data() + b * out_floats(), ws);
     }
@@ -318,7 +328,7 @@ struct KernelRig {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
     std::vector<float> cols(
         static_cast<size_t>(g.patch_rows() * g.out_positions()));
-    nn::conv_sample_dense(x.data() + s * in_floats(), g, w.data(), kOutC,
+    nn::conv_sample_dense(x.data() + s * in_floats(), g, w.data(), out_c,
                           bias_or_null(), cols.data(),
                           y.data() + s * out_floats(), ws);
     return y;
@@ -326,7 +336,7 @@ struct KernelRig {
   std::vector<float> run_i8(const nn::Int8ConvWeights& qw,
                             const nn::ConvRuntimeMask& m) {
     std::vector<float> y(static_cast<size_t>(kN) * out_floats(), y_init);
-    nn::conv_group_masked(x.data(), in_floats(), g, w.data(), kOutC,
+    nn::conv_group_masked(x.data(), in_floats(), g, w.data(), out_c,
                           bias_or_null(), m, samples, ids(), y.data(),
                           out_floats(), ws, tile, &qw);
     return y;
@@ -379,7 +389,7 @@ TEST(CoarsenKernel, ChannelUnionSupersetBitwiseInt8) {
   // channel's zp * weight rows cancel against the panel wsum correction
   // in exact int32 arithmetic, so the superset is bitwise even in int8.
   nn::Int8ConvWeights qw;
-  nn::quantize_conv_weights(rig.w.data(), KernelRig::kOutC, rig.g.in_c,
+  nn::quantize_conv_weights(rig.w.data(), rig.out_c, rig.g.in_c,
                             rig.g.k_h * rig.g.k_w, qw);
   nn::ConvRuntimeMask exact, sup;
   exact.channels = {0, 1, 3, 4, 5};
@@ -391,6 +401,26 @@ TEST(CoarsenKernel, ChannelUnionSupersetBitwiseInt8) {
 
 // Untiled, a width that divides the 8x8 grid, and a ragged one.
 constexpr int64_t kKeepAllTiles[] = {0, 16, 37};
+
+// Both sides of the channel path's width test. At 1-4 members a 2x2 output
+// grid lowers 4, 8, 12 or 16 columns and a 3x3 grid 9, 18, 27 or 36:
+// below one 16-column gemm_nn panel the filter-lane kernel runs, from one
+// panel up gemm_nn. Six filters fill part of one 16-filter tile; twenty
+// fill one tile and part of a second.
+const ConvGeom kNarrowGrids[] = {{8, 2, 2, 3, 3, 1, 1}, {8, 3, 3, 3, 3, 1, 1}};
+constexpr int kNarrowFilterCounts[] = {6, 20};
+constexpr int kNarrowMembers[] = {2, 5, 7, 0};  // a group of m: the first m
+
+// The first `count` of kNarrowMembers.
+std::vector<int> narrow_members(int count) {
+  return std::vector<int>(kNarrowMembers, kNarrowMembers + count);
+}
+
+bool slot_equal(const std::vector<float>& a, const std::vector<float>& b,
+                int64_t slot_floats, int s) {
+  return std::memcmp(a.data() + s * slot_floats, b.data() + s * slot_floats,
+                     static_cast<size_t>(slot_floats) * sizeof(float)) == 0;
+}
 
 TEST(CoarsenKernel, KeepAllOneMemberGroupMatchesDenseSampleBitwise) {
   // A dense plan step is one keep-all group per sample: the weights are
@@ -413,6 +443,28 @@ TEST(CoarsenKernel, KeepAllOneMemberGroupMatchesDenseSampleBitwise) {
       }
     }
   }
+  // The same on both sides of the width test, with 1-4 members: every
+  // member's output is the dense kernel's on its sample.
+  for (const ConvGeom& geom : kNarrowGrids) {
+    for (const int filters : kNarrowFilterCounts) {
+      KernelRig narrow(geom, filters);
+      narrow.y_init = -9.5f;
+      for (const bool with_bias : {true, false}) {
+        narrow.with_bias = with_bias;
+        for (int members = 1; members <= 4; ++members) {
+          narrow.samples = narrow_members(members);
+          const std::vector<float> got = narrow.run_f32(keep_all);
+          for (const int s : narrow.samples) {
+            EXPECT_TRUE(slot_equal(got, narrow.run_dense(s),
+                                   narrow.out_floats(), s))
+                << geom.out_h() << "x" << geom.out_w() << ", " << filters
+                << " filters, " << members << " members, sample " << s
+                << ", bias " << with_bias;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CoarsenKernel, KeepAllTwoMemberGroupMatchesOneMemberBothRegimes) {
@@ -426,7 +478,7 @@ TEST(CoarsenKernel, KeepAllTwoMemberGroupMatchesOneMemberBothRegimes) {
   std::copy(rig.x.begin(), rig.x.begin() + rig.in_floats(),
             rig.x.begin() + rig.in_floats());
   nn::Int8ConvWeights qw;
-  nn::quantize_conv_weights(rig.w.data(), KernelRig::kOutC, rig.g.in_c,
+  nn::quantize_conv_weights(rig.w.data(), rig.out_c, rig.g.in_c,
                             rig.g.k_h * rig.g.k_w, qw);
   const nn::ConvRuntimeMask keep_all;
   const size_t slot = static_cast<size_t>(rig.out_floats());
@@ -562,42 +614,59 @@ TEST(CoarsenKernel, FusedSpatialOneByOneConvMatchesPerSampleKernelBitwise) {
 
 // --- the group kernel's zero-fill contract ---------------------------------
 
-TEST(CoarsenKernel, GroupWritesEveryMemberElementAndNoOtherSample) {
-  // conv_group_masked zero-fills exactly what its arithmetic does not
-  // write, so run into a NaN-filled output every member's output must equal
-  // the reference run into zeros, and every other sample must still be NaN.
-  // The f32 reference is the module walk's per-sample kernel; the int8 one
-  // is the same group into zeros (a group quantizes at one shared scale).
-  KernelRig rig;
+struct NamedMask {
+  const char* name;
+  nn::ConvRuntimeMask m;
+};
+
+// conv_group_masked zero-fills exactly what its arithmetic does not write,
+// so run into a NaN-filled output every member's output must equal the
+// reference run into zeros, and every other sample must still be NaN. The
+// f32 reference is the module walk's per-sample kernel; the int8 one is the
+// same group into zeros (a group quantizes at one shared scale). Each f32
+// group also runs on a fresh arena, whose peak is the call's scratch: at
+// most conv_group_masked_scratch_bytes, and exactly its channel-path term
+// for a keep-all group narrower than one gemm_nn panel (the filter-lane
+// kernel allocates the lowered operand alone).
+void expect_group_writes(KernelRig& rig, const std::vector<NamedMask>& masks) {
   nn::Int8ConvWeights qw;
-  nn::quantize_conv_weights(rig.w.data(), KernelRig::kOutC, rig.g.in_c,
+  nn::quantize_conv_weights(rig.w.data(), rig.out_c, rig.g.in_c,
                             rig.g.k_h * rig.g.k_w, qw);
-  nn::ConvRuntimeMask keep_all, drop_filters, drop_channels, spatial;
-  drop_filters.out_channels = {0, 2, 5};
-  drop_channels.channels = {0, 1, 3, 6};
-  spatial.positions = some_positions(20, rig.g.in_h * rig.g.in_w, 9);
-  const struct {
-    const char* name;
-    const nn::ConvRuntimeMask* m;
-  } groups[] = {{"keep-all", &keep_all},
-                {"filter-dropping", &drop_filters},
-                {"channel-dropping", &drop_channels},
-                {"spatial", &spatial}};
-  rig.samples = {1, 4, 6};
+  const int gs = static_cast<int>(rig.samples.size());
   const size_t slot = static_cast<size_t>(rig.out_floats());
-  for (const auto& group : groups) {
+  for (const NamedMask& group : masks) {
     for (const int64_t tile : kKeepAllTiles) {
       rig.tile = tile;
+      const std::string where =
+          std::string(group.name) + ", " + std::to_string(rig.g.out_h()) +
+          "x" + std::to_string(rig.g.out_w()) + ", " +
+          std::to_string(rig.out_c) + " filters, " + std::to_string(gs) +
+          " members, tile " + std::to_string(tile) + ", bias " +
+          std::to_string(rig.with_bias);
       for (const bool int8 : {false, true}) {
-        const auto run = [&](float init) {
-          rig.y_init = init;
-          return int8 ? rig.run_i8(qw, *group.m) : rig.run_f32(*group.m);
-        };
+        rig.y_init = std::numeric_limits<float>::quiet_NaN();
+        Workspace fresh;
         const std::vector<float> got =
-            run(std::numeric_limits<float>::quiet_NaN());
+            int8 ? rig.run_i8(qw, group.m) : rig.run_f32(group.m, &fresh);
         rig.y_init = 0.f;
         const std::vector<float> ref =
-            int8 ? run(0.f) : rig.run_reference(*group.m);
+            int8 ? rig.run_i8(qw, group.m) : rig.run_reference(group.m);
+        if (!int8) {
+          EXPECT_LE(fresh.peak_bytes(), nn::conv_group_masked_scratch_bytes(
+                                            rig.g, rig.out_c, gs, false, tile))
+              << where;
+          const bool narrow = tile == 0 && group.m.channels.empty() &&
+                              group.m.out_channels.empty() &&
+                              group.m.positions.empty() &&
+                              gs * rig.g.out_positions() < kGemmPanelCols;
+          if (narrow) {
+            EXPECT_EQ(fresh.peak_bytes(),
+                      nn::conv_group_masked_scratch_bytes(
+                          rig.g, rig.out_c, gs, false, 0,
+                          /*spatial_masks=*/false))
+                << where;
+          }
+        }
         for (int s = 0; s < KernelRig::kN; ++s) {
           const bool member = std::find(rig.samples.begin(),
                                         rig.samples.end(),
@@ -607,14 +676,44 @@ TEST(CoarsenKernel, GroupWritesEveryMemberElementAndNoOtherSample) {
             EXPECT_EQ(std::memcmp(g, ref.data() + s * slot,
                                   slot * sizeof(float)),
                       0)
-                << group.name << ", int8 " << int8 << ", tile " << tile
-                << ", member " << s;
+                << where << ", int8 " << int8 << ", member " << s;
           } else {
             EXPECT_TRUE(std::all_of(g, g + slot,
                                     [](float v) { return std::isnan(v); }))
-                << group.name << ", int8 " << int8 << ", tile " << tile
-                << ", non-member " << s;
+                << where << ", int8 " << int8 << ", non-member " << s;
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(CoarsenKernel, GroupWritesEveryMemberElementAndNoOtherSample) {
+  KernelRig rig;
+  NamedMask keep_all{"keep-all", {}}, drop_filters{"filter-dropping", {}},
+      drop_channels{"channel-dropping", {}}, spatial{"spatial", {}};
+  drop_filters.m.out_channels = {0, 2, 5};
+  drop_channels.m.channels = {0, 1, 3, 6};
+  spatial.m.positions = some_positions(20, rig.g.in_h * rig.g.in_w, 9);
+  rig.samples = {1, 4, 6};
+  expect_group_writes(rig, {keep_all, drop_filters, drop_channels, spatial});
+
+  // Both sides of the channel path's width test, with and without a bias.
+  // Dropping every filter f with f % 8 == 3 leaves 5 of 6 (one ragged
+  // tile) or 17 of 20 (a full tile and one lane of a second).
+  for (const ConvGeom& geom : kNarrowGrids) {
+    for (const int filters : kNarrowFilterCounts) {
+      KernelRig narrow(geom, filters);
+      NamedMask narrow_filters{"filter-dropping", {}};
+      for (int f = 0; f < filters; ++f) {
+        if (f % 8 != 3) narrow_filters.m.out_channels.push_back(f);
+      }
+      for (const bool with_bias : {true, false}) {
+        narrow.with_bias = with_bias;
+        for (int members = 1; members <= 4; ++members) {
+          narrow.samples = narrow_members(members);
+          expect_group_writes(narrow,
+                              {keep_all, narrow_filters, drop_channels});
         }
       }
     }

@@ -1,6 +1,7 @@
 // InferencePlan compiler + executor: BN-fold numerics against the unfused
 // module walk (dense and masked, bitwise), exact ahead-of-time
-// arena sizing (zero growths from the very first context forward), masked
+// arena sizing (zero growths from the very first context forward, and a
+// measured arena peak within arena_bytes(n)), masked
 // execution through the fused conv steps for all three model families,
 // compute-cap semantics, spatial tiling, plan invalidation, and the
 // cost-model metadata the serving controller consumes.
@@ -535,6 +536,40 @@ TEST(InferencePlan, ArenaBytesScaleWithBatchAndCoverEveryBatchSize) {
                 static_cast<size_t>(x.size()) * sizeof(float));
     net->forward(staged, ctx);
     EXPECT_EQ(ctx.workspace().grow_count(), grows) << "batch " << batch;
+  }
+}
+
+TEST(InferencePlan, MeasuredArenaPeakStaysWithinArenaBytes) {
+  // The arena's measured high-water against its ahead-of-time size, for
+  // gated vgg16 w0.25 at 32x32 (drop 0.5/0.3). Its 2x2 convs lower four
+  // columns per member: one member, or a group of three, is narrower than
+  // one gemm_nn panel and runs the filter-lane kernel; a group of eight is
+  // wider and runs gemm_nn. Distinct inputs give one group per sample
+  // unless coarsening merges them; one repeated input gives one group of
+  // the whole batch.
+  const Case c{"vgg16", 32, 0.25f};
+  for (const int batch : {1, 3, 8}) {
+    for (const int distinct : {batch, 1}) {
+      auto net = build(c);
+      core::DynamicPruningEngine engine(
+          *net, core::PruneSettings::uniform(net->num_blocks(), 0.5f, 0.3f));
+      plan::InferencePlan& plan = net->inference_plan(3, c.image, c.image);
+      nn::ExecutionContext ctx;
+      plan.reserve(ctx.workspace(), batch);
+      Rng rng(37);
+      const Tensor x = duplicated_batch(batch, distinct, c.image, rng);
+      for (int pass = 0; pass < 2; ++pass) {
+        ctx.begin_pass();
+        Tensor staged = ctx.alloc(x.shape());
+        std::memcpy(staged.data(), x.data(),
+                    static_cast<size_t>(x.size()) * sizeof(float));
+        net->forward(staged, ctx);
+      }
+      EXPECT_GT(ctx.workspace().peak_bytes(), 0u);
+      EXPECT_LE(ctx.workspace().peak_bytes(), plan.arena_bytes(batch))
+          << "batch " << batch << ", distinct " << distinct;
+      engine.remove();
+    }
   }
 }
 

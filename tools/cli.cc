@@ -657,8 +657,16 @@ int cmd_plan_dump(const std::vector<std::string>& args) {
             << (engine ? " (gated)" : " (dense)") << "\n"
             << plan.to_string();
   const int batch = flags.get_int("batch");
-  std::printf("arena bytes: %zu @ batch 1, %zu @ batch %d\n",
-              plan.arena_bytes(1), plan.arena_bytes(batch), batch);
+  // One staged pass of the --distinct batch measures the arena's high-water
+  // beside the ahead-of-time size that must bound it.
+  nn::ExecutionContext peak_ctx;
+  plan.reserve(peak_ctx.workspace(), batch);
+  run_staged_pass(*net, peak_ctx,
+                  duplicated_batch(size, batch, flags.get_int("distinct"),
+                                   static_cast<uint64_t>(flags.get_int("seed"))));
+  std::printf("arena bytes: %zu @ batch 1, %zu @ batch %d (measured peak %zu)\n",
+              plan.arena_bytes(1), plan.arena_bytes(batch), batch,
+              peak_ctx.workspace().peak_bytes());
   // Per-op kernel scratch and the arena's high-water op: which step's
   // worst-case scratch (on top of the activations) actually sets the
   // reserved footprint.
