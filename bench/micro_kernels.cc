@@ -113,7 +113,7 @@ void BM_ConvChannelMasked(benchmark::State& state) {
   for (auto _ : state) {
     nn::ConvRuntimeMask mask;
     mask.channels = kept_ch;
-    conv.set_runtime_masks({mask});
+    conv.set_runtime_masks(std::span(&mask, 1));
     Tensor y = conv.forward(x);
     benchmark::DoNotOptimize(y.data());
   }
@@ -140,7 +140,7 @@ void BM_ConvSpatialMasked(benchmark::State& state) {
   for (auto _ : state) {
     nn::ConvRuntimeMask mask;
     mask.positions = kept_pos;
-    conv.set_runtime_masks({mask});
+    conv.set_runtime_masks(std::span(&mask, 1));
     Tensor y = conv.forward(x);
     benchmark::DoNotOptimize(y.data());
   }

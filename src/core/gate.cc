@@ -1,7 +1,9 @@
 #include "core/gate.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "base/error.h"
 #include "core/attention.h"
@@ -44,6 +46,30 @@ bool holds_rows(const Tensor& t, Shape shape) {
 // `rows` is 0 (an identity pass leaves the last attention in place).
 Tensor leading_rows(const Tensor& t, int rows) {
   return t.empty() || rows == 0 || t.dim(0) <= rows ? t : t.first_rows(rows);
+}
+
+// Lowers a pass's kept counts to the compute cap (see mask_in_place):
+// channels first, floored at one, then positions when the consumer sees
+// this grid. Returns whether the counts were over the cap.
+bool cap_kept_counts(double cap, int c, int hw, bool aligned, int& k_ch,
+                     int& k_pos) {
+  const double pos_share = aligned ? static_cast<double>(k_pos) / hw : 1.0;
+  if (static_cast<double>(k_ch) / c * pos_share <= cap) return false;
+  k_ch = std::clamp(static_cast<int>(std::floor(cap / pos_share * c)), 1,
+                    k_ch);
+  const double ch_share = static_cast<double>(k_ch) / c;
+  if (aligned && ch_share * pos_share > cap) {
+    k_pos = std::clamp(static_cast<int>(std::floor(cap / ch_share * hw)), 1,
+                       k_pos);
+  }
+  return true;
+}
+
+// The `k` lowest indices: the keep set of a dimension the cap lowers but
+// the drop ratios leave whole.
+void keep_lowest(int k, std::vector<int>& kept) {
+  kept.resize(static_cast<size_t>(k));
+  std::iota(kept.begin(), kept.end(), 0);
 }
 }  // namespace
 
@@ -175,14 +201,28 @@ Tensor AttentionGate::forward(const Tensor& x) {
   // Test phase: hand the keep sets to the consumer so it skips the pruned
   // computation. (Training keeps dense math for the backward pass — the
   // gate then behaves exactly as the paper's targeted dropout.)
-  if (!is_training() && forward_to_consumer_ && consumer_ != nullptr) {
-    std::vector<nn::ConvRuntimeMask> runtime = last_masks_;
-    if (!spatially_aligned_) {
-      for (auto& m : runtime) m.positions.clear();  // cannot skip positions
-    }
-    consumer_->set_runtime_masks(std::move(runtime));
-  }
+  if (!is_training()) hand_to_consumer();
   return out;
+}
+
+void AttentionGate::hand_to_consumer() {
+  if (!forward_to_consumer_ || consumer_ == nullptr) return;
+  if (spatially_aligned_) {
+    consumer_->set_runtime_masks(last_masks());
+    return;
+  }
+  // Positions cannot be skipped downstream; strip them into the reusable,
+  // grow-only staging vector first.
+  const size_t n = static_cast<size_t>(stats_.samples);
+  if (runtime_scratch_.size() < n) runtime_scratch_.resize(n);
+  for (size_t b = 0; b < n; ++b) {
+    nn::ConvRuntimeMask& m = runtime_scratch_[b];
+    m.channels = last_masks_[b].channels;
+    m.positions.clear();
+    m.out_channels.clear();
+  }
+  consumer_->set_runtime_masks(
+      std::span<const nn::ConvRuntimeMask>(runtime_scratch_.data(), n));
 }
 
 bool AttentionGate::masks_in_place() const {
@@ -206,7 +246,7 @@ AttentionGate::AttentionOut AttentionGate::attention_out(int n, int c, int h,
   return out;
 }
 
-void AttentionGate::mask_in_place(Tensor& x) {
+void AttentionGate::mask_in_place(Tensor& x, double compute_cap) {
   AD_CHECK(masks_in_place()) << " in-place masking needs a masking pass";
   AD_CHECK_EQ(x.ndim(), 4) << " AttentionGate expects NCHW";
   const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -218,10 +258,23 @@ void AttentionGate::mask_in_place(Tensor& x) {
   AD_CHECK(!prune_spatial || holds_rows(last_sp_att_, {n, h, w}))
       << " spatial attention not written for this map";
 
+  // Every sample keeps the same counts: the drop ratios', lowered to the
+  // compute cap when a consumer runs from these keep sets.
+  int k_ch = kept_count(c, config_.channel_drop);
+  int k_pos = kept_count(hw, config_.spatial_drop);
+  const bool capped =
+      forward_to_consumer_ && consumer_ != nullptr &&
+      cap_kept_counts(compute_cap, c, hw, spatially_aligned_, k_ch, k_pos);
+  const bool select_channels = prune_channels || k_ch < c;
+  const bool select_positions = prune_spatial || k_pos < hw;
+
   stats_ = Stats{};
   stats_.samples = n;
   stats_.channels = c;
   stats_.positions = hw;
+  stats_.kept_channels = static_cast<int64_t>(n) * k_ch;
+  stats_.kept_positions = static_cast<int64_t>(n) * k_pos;
+  stats_.capped = capped ? n : 0;
   // Grow-only (never assign or shrink): each element keeps its vectors and
   // their capacity across batch sizes; every field of the first n is
   // rewritten or cleared below.
@@ -239,24 +292,25 @@ void AttentionGate::mask_in_place(Tensor& x) {
       std::span<const float> att(
           last_ch_att_.data() + static_cast<int64_t>(b) * c,
           static_cast<size_t>(c));
-      select_kept_into(att, config_.channel_drop, config_.order, rng_,
-                       select_scratch_, sample_mask.channels);
-      stats_.kept_channels +=
-          static_cast<int64_t>(sample_mask.channels.size());
+      select_kept_into(att, k_ch, config_.order, rng_, select_scratch_,
+                       sample_mask.channels);
+    } else if (select_channels) {
+      keep_lowest(k_ch, sample_mask.channels);
     } else {
       sample_mask.channels.clear();
-      stats_.kept_channels += c;
     }
 
     dropped_scratch_.clear();
-    if (prune_spatial) {
-      std::span<const float> att(
-          last_sp_att_.data() + static_cast<int64_t>(b) * hw,
-          static_cast<size_t>(hw));
-      select_kept_into(att, config_.spatial_drop, config_.order, rng_,
-                       select_scratch_, sample_mask.positions);
-      stats_.kept_positions +=
-          static_cast<int64_t>(sample_mask.positions.size());
+    if (select_positions) {
+      if (prune_spatial) {
+        std::span<const float> att(
+            last_sp_att_.data() + static_cast<int64_t>(b) * hw,
+            static_cast<size_t>(hw));
+        select_kept_into(att, k_pos, config_.order, rng_, select_scratch_,
+                         sample_mask.positions);
+      } else {
+        keep_lowest(k_pos, sample_mask.positions);
+      }
       // The complement of the ascending kept positions.
       const std::vector<int>& kept_pos = sample_mask.positions;
       size_t next = 0;
@@ -269,7 +323,6 @@ void AttentionGate::mask_in_place(Tensor& x) {
       }
     } else {
       sample_mask.positions.clear();
-      stats_.kept_positions += hw;
     }
 
     // Zero what forward(x) zeroes: every dropped channel plane, and the
@@ -279,9 +332,9 @@ void AttentionGate::mask_in_place(Tensor& x) {
     size_t next = 0;
     for (int ch = 0; ch < c; ++ch) {
       float* plane = x.data() + (static_cast<int64_t>(b) * c + ch) * hw;
-      const bool keep_plane = !prune_channels || (next < kept_ch.size() &&
-                                                  kept_ch[next] == ch);
-      if (prune_channels && keep_plane) ++next;
+      const bool keep_plane = !select_channels || (next < kept_ch.size() &&
+                                                   kept_ch[next] == ch);
+      if (select_channels && keep_plane) ++next;
       if (!keep_plane) {
         std::memset(plane, 0, static_cast<size_t>(hw) * sizeof(float));
       } else {
@@ -290,25 +343,7 @@ void AttentionGate::mask_in_place(Tensor& x) {
     }
   }
 
-  if (forward_to_consumer_ && consumer_ != nullptr) {
-    if (spatially_aligned_) {
-      consumer_->set_runtime_masks(last_masks());
-    } else {
-      // Positions cannot be skipped downstream; strip them into the
-      // reusable, grow-only staging vector first.
-      if (runtime_scratch_.size() < static_cast<size_t>(n)) {
-        runtime_scratch_.resize(static_cast<size_t>(n));
-      }
-      for (int b = 0; b < n; ++b) {
-        nn::ConvRuntimeMask& m = runtime_scratch_[static_cast<size_t>(b)];
-        m.channels = last_masks_[static_cast<size_t>(b)].channels;
-        m.positions.clear();
-        m.out_channels.clear();
-      }
-      consumer_->set_runtime_masks(std::span<const nn::ConvRuntimeMask>(
-          runtime_scratch_.data(), static_cast<size_t>(n)));
-    }
-  }
+  hand_to_consumer();
 }
 
 Tensor AttentionGate::backward(const Tensor& grad_out) {

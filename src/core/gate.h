@@ -23,9 +23,11 @@
 // the gate's attention tensors while it writes the map, and the gate step
 // then only selects, zeroes the dropped planes and positions of the
 // producer's own buffer and hands the keep sets on. Masks, statistics,
-// attention and the map are bitwise those of forward(x). Soft-mode,
-// disabled and zero-ratio gates reach the plan through the nn::Module
-// fallback (the plain forward).
+// attention and the map are bitwise those of forward(x) at drop ratios
+// with the same kept counts; the plan's per-request compute cap may lower
+// those counts (see mask_in_place). Soft-mode, disabled and zero-ratio
+// gates reach the plan through the nn::Module fallback (the plain
+// forward).
 #pragma once
 
 #include <cstdint>
@@ -104,7 +106,18 @@ class AttentionGate : public nn::Gate {
   // through attention_out this pass: selects each sample's keep sets,
   // zeroes its dropped planes and the dropped positions of its kept planes
   // and hands the keep sets to the consumer, allocation-free once warm.
-  void mask_in_place(Tensor& x);
+  //
+  // `compute_cap` (in (0, 1]; 1 = uncapped) bounds the share of the
+  // consumer's MACs one sample may keep: kept channels / c, times kept
+  // positions / (h*w) when the consumer is spatially aligned. When the
+  // drop ratios' kept counts exceed it, channels drop to
+  // floor(cap / position share * c), floored at one, and then, for an
+  // aligned consumer still over the cap, positions drop the same way. A
+  // pruned dimension keeps its top counts by attention; a dimension the
+  // ratios leave whole keeps its lowest indices. The cap binds per gate,
+  // not per input, so it lowers every sample or none (Stats::capped).
+  // Without a consumer to hand masks to, the gate is never capped.
+  void mask_in_place(Tensor& x, double compute_cap);
 
   // --- introspection (last forward pass) ---
   struct Stats {
@@ -113,6 +126,7 @@ class AttentionGate : public nn::Gate {
     int positions = 0;       // H*W of the gated map
     int64_t kept_channels = 0;   // summed over samples
     int64_t kept_positions = 0;  // summed over samples
+    int capped = 0;  // samples whose kept counts the compute cap lowered
   };
   const Stats& last_stats() const { return stats_; }
   // Per-sample keep sets of the last forward (empty halves = kept all).
@@ -126,6 +140,10 @@ class AttentionGate : public nn::Gate {
 
  private:
   Tensor forward_soft(const Tensor& x);
+  // Hands the pass's keep sets to the consumer when there is one to take
+  // them: all of last_masks() for an aligned consumer, otherwise the
+  // channel sets alone, staged in runtime_scratch_.
+  void hand_to_consumer();
 
   GateConfig config_;
   nn::Conv2d* consumer_;

@@ -34,7 +34,9 @@ std::vector<int> select_kept(std::span<const float> attention,
                              float drop_ratio, MaskOrder order, Rng& rng) {
   SelectScratch scratch;
   std::vector<int> kept;
-  select_kept_into(attention, drop_ratio, order, rng, scratch, kept);
+  select_kept_into(attention,
+                   kept_count(static_cast<int>(attention.size()), drop_ratio),
+                   order, rng, scratch, kept);
   return kept;
 }
 
@@ -63,11 +65,11 @@ int scan_kept(std::span<const float> attention, float pivot, int ties,
 
 }  // namespace
 
-void select_kept_into(std::span<const float> attention, float drop_ratio,
+void select_kept_into(std::span<const float> attention, int k,
                       MaskOrder order, Rng& rng, SelectScratch& scratch,
                       std::vector<int>& kept) {
   const int n = static_cast<int>(attention.size());
-  const int k = kept_count(n, drop_ratio);
+  AD_CHECK(k >= 1 && k <= n) << " kept count " << k << " of " << n;
   if (order == MaskOrder::kRandom) {
     // Same draw as Rng::permutation: shuffle of iota, first k kept.
     scratch.order.resize(static_cast<size_t>(n));
@@ -178,20 +180,6 @@ int popcount_words(const uint64_t* w, int words) {
   return count;
 }
 
-int mask_symdiff_bits(const uint64_t* a, int ka, const uint64_t* b, int kb,
-                      int words, int limit) {
-  // |a ^ b| >= ||a| - |b||: when the kept counts alone are `limit` apart
-  // the sets cannot be closer either, so the words are never touched.
-  const int gap = ka > kb ? ka - kb : kb - ka;
-  if (gap >= limit) return limit;
-  int count = 0;
-  for (int i = 0; i < words; ++i) {
-    count += std::popcount(a[i] ^ b[i]);
-    if (count >= limit) return limit;
-  }
-  return count;
-}
-
 int mask_intersect_bits(const uint64_t* a, const uint64_t* b, int words) {
   int count = 0;
   for (int i = 0; i < words; ++i) count += std::popcount(a[i] & b[i]);
@@ -200,13 +188,6 @@ int mask_intersect_bits(const uint64_t* a, const uint64_t* b, int words) {
 
 void union_bits_inplace(uint64_t* dst, const uint64_t* src, int words) {
   for (int i = 0; i < words; ++i) dst[i] |= src[i];
-}
-
-bool bits_equal(const uint64_t* a, const uint64_t* b, int words) {
-  for (int i = 0; i < words; ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
 }
 
 void bits_to_kept(const uint64_t* words, int n, std::vector<int>& kept) {

@@ -36,14 +36,16 @@ struct SelectScratch {
   std::vector<int> order;     // kRandom: the shuffled indices
 };
 
-// Reusable-buffer variant for the inference hot path: `scratch` and `kept`
-// retain their capacity across calls (zero allocations once warm). Result
-// identical to select_kept: value descending for kAttention (ascending for
-// kInverseAttention), ties to the lower index, returned ascending. The
-// k-th ranked value is found with nth_element over a copy of the values;
-// one ascending scan then keeps every value ranked ahead of it plus the
-// lowest-index ties. Values must not be NaN.
-void select_kept_into(std::span<const float> attention, float drop_ratio,
+// Reusable-buffer variant for the inference hot path, by kept count
+// `k` in [1, attention.size()] rather than drop ratio: `scratch` and
+// `kept` retain their capacity across calls (zero allocations once warm).
+// Result identical to select_kept at any ratio whose kept_count is `k`:
+// value descending for kAttention (ascending for kInverseAttention), ties
+// to the lower index, returned ascending. The k-th ranked value is found
+// with nth_element over a copy of the values; one ascending scan then
+// keeps every value ranked ahead of it plus the lowest-index ties. Values
+// must not be NaN.
+void select_kept_into(std::span<const float> attention, int k,
                       MaskOrder order, Rng& rng, SelectScratch& scratch,
                       std::vector<int>& kept);
 
@@ -68,8 +70,8 @@ bool mask_equal(const nn::ConvRuntimeMask& a, const nn::ConvRuntimeMask& b);
 // pass, so the sorted index vectors are packed once into little-endian
 // 64-bit bitsets and all similarity/union arithmetic runs as word-wise
 // popcounts. An EMPTY kept vector means "keep all" (the ConvRuntimeMask
-// convention), and packs as all `n` bits set — so intersections, unions
-// and symmetric differences need no keep-all special case.
+// convention), and packs as all `n` bits set — so intersections and
+// unions need no keep-all special case.
 
 // Words needed for an n-bit kept set.
 inline int mask_bits_words(int n) { return (n + 63) / 64; }
@@ -81,22 +83,11 @@ void pack_kept_bits(std::span<const int> kept, int n, uint64_t* words);
 // Total population count of a packed set.
 int popcount_words(const uint64_t* w, int words);
 
-// Popcount of the symmetric difference |a ^ b|, with a kept-count
-// fast-reject: `ka`/`kb` are the operands' popcounts, and since
-// |a ^ b| >= |ka - kb| the word loop is skipped entirely (returning
-// `limit`) when the count gap alone reaches `limit`; the loop also exits
-// early once the running count does. Returns min(|a ^ b|, limit).
-int mask_symdiff_bits(const uint64_t* a, int ka, const uint64_t* b, int kb,
-                      int words, int limit);
-
 // Popcount of the intersection |a & b|.
 int mask_intersect_bits(const uint64_t* a, const uint64_t* b, int words);
 
 // dst |= src over `words`.
 void union_bits_inplace(uint64_t* dst, const uint64_t* src, int words);
-
-// Word-wise equality.
-bool bits_equal(const uint64_t* a, const uint64_t* b, int words);
 
 // Unpacks a bitset over domain `n` back into sorted kept indices,
 // canonicalized to the ConvRuntimeMask convention: a full set (all n bits)

@@ -77,12 +77,6 @@ void Conv2d::check_masks(std::span<const ConvRuntimeMask> masks) const {
   }
 }
 
-void Conv2d::set_runtime_masks(std::vector<ConvRuntimeMask> masks) {
-  check_masks(masks);
-  pending_masks_ = std::move(masks);
-  pending_count_ = pending_masks_.size();
-}
-
 void Conv2d::set_runtime_masks(std::span<const ConvRuntimeMask> masks) {
   check_masks(masks);
   // Element-wise copy-assign into the warm storage left behind by earlier

@@ -58,13 +58,12 @@ class Conv2d : public Module {
   int64_t last_macs() const override { return last_macs_; }
 
   // --- sparse runtime execution ---
-  // Installs per-sample masks for the next forward pass only. The vector
+  // Installs per-sample masks for the next forward pass only. The span
   // size must equal the batch size of that forward. Backward through a
   // masked forward is not supported (masking is a test-phase mechanism).
-  void set_runtime_masks(std::vector<ConvRuntimeMask> masks);
-  // Borrowing variant for the hot path: copies the masks into internal
-  // storage that only grows, so serving stops allocating here once a
-  // batch as large as any later one has run.
+  // The masks are copied into internal storage that only grows, so
+  // serving stops allocating here once a batch as large as any later one
+  // has run.
   void set_runtime_masks(std::span<const ConvRuntimeMask> masks);
   bool has_pending_masks() const { return pending_count_ > 0; }
 

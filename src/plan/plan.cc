@@ -120,11 +120,11 @@ size_t conv_step_scratch_bytes(const PlanOp& op, int n, bool int8_regime) {
                                                 int8_regime, op.tile_pos,
                                                 spatial));
   }
-  // The coarsening terms are accounted unconditionally (policy-independent
-  // bound): the per-pass merge decision may be flipped at runtime by the
-  // serving controller, and must never be able to grow a reserved arena.
-  // The planner scratch itself is rewound before any group kernel runs,
-  // so it shares a max with the kernel term rather than stacking on it.
+  // The coarsening terms are accounted whatever the coarsening mode:
+  // set_coarsen may switch it between passes, and a switch must never grow
+  // a reserved arena. The planner scratch itself is rewound before any
+  // group kernel runs, so it shares a max with the kernel term rather than
+  // stacking on it.
   return Workspace::align_up(sizeof(uint64_t) * nn_) +   // mask keys
          Workspace::align_up(sizeof(int) * nn_) +        // sample order
          Workspace::align_up(sizeof(int) * (nn_ + 1)) +  // group bounds
@@ -416,22 +416,17 @@ void InferencePlan::size_pass_storage(int n) {
   const size_t slots = static_cast<size_t>(n);
   for (PlanOp& op : ops_) {
     if (op.kind != OpKind::kConv || op.coarse_masks.size() >= slots) continue;
-    // At most n coarsened clusters and n capped samples, each bounded by
-    // the op's full kept-set domains. Sized whatever the coarsening policy
-    // and compute cap say: both can change at runtime, and a warm pass
-    // must stay heap-allocation-free either way.
+    // At most n coarsened clusters, each bounded by the op's full kept-set
+    // domains. Sized whatever the coarsening mode says: it can change
+    // between passes, and a warm pass must stay heap-allocation-free
+    // either way.
     op.coarse_masks.resize(slots);
-    op.capped_masks.resize(slots);
-    for (std::vector<nn::ConvRuntimeMask>* storage :
-         {&op.coarse_masks, &op.capped_masks}) {
-      for (nn::ConvRuntimeMask& m : *storage) {
-        m.channels.reserve(static_cast<size_t>(op.geom.in_c));
-        if (conv_grid_preserving(op.geom)) {
-          m.positions.reserve(
-              static_cast<size_t>(op.geom.in_h * op.geom.in_w));
-        }
-        m.out_channels.reserve(static_cast<size_t>(op.out_shape[0]));
+    for (nn::ConvRuntimeMask& m : op.coarse_masks) {
+      m.channels.reserve(static_cast<size_t>(op.geom.in_c));
+      if (conv_grid_preserving(op.geom)) {
+        m.positions.reserve(static_cast<size_t>(op.geom.in_h * op.geom.in_w));
       }
+      m.out_channels.reserve(static_cast<size_t>(op.out_shape[0]));
     }
   }
   // The per-worker slice views (and their one-entry block tables), so even
@@ -502,97 +497,6 @@ double predict_batch_ms(const std::vector<OpCost>& ops, double channel_keep,
     total += predict_op_ms(op, channel_keep, spatial_keep);
   }
   return total;
-}
-
-namespace {
-
-// Truncates a kept-index component to `want` entries in canonical
-// (ascending-index) order, materializing the keep-all identity first when
-// the component is empty. The capacity is pre-reserved to the full domain
-// by InferencePlan::size_pass_storage(), so a warm truncation never
-// allocates.
-void truncate_kept(std::vector<int>& kept, int domain, int want) {
-  if (kept.empty()) {
-    kept.resize(static_cast<size_t>(domain));
-    std::iota(kept.begin(), kept.end(), 0);
-  }
-  if (static_cast<int>(kept.size()) > want) {
-    kept.resize(static_cast<size_t>(want));
-  }
-}
-
-}  // namespace
-
-std::span<const nn::ConvRuntimeMask> InferencePlan::cap_runtime_masks(
-    PlanOp& op, std::span<const nn::ConvRuntimeMask> masks, int n) {
-  const ConvGeom& g = op.geom;
-  const int out_c = op.out_shape[0];
-  const bool spatial = conv_grid_preserving(g);
-  const int pos_domain =
-      spatial ? g.in_h * g.in_w : static_cast<int>(g.out_positions());
-  // Kept-MAC fraction of one sample's mask over the op's dense domains
-  // (the k_h*k_w factor cancels). Mirrors the CoarsenGroup accounting:
-  // without a spatial grid the position term is pinned dense.
-  const auto mac_frac = [&](const nn::ConvRuntimeMask& m) {
-    const int kept_ch =
-        m.channels.empty() ? g.in_c : static_cast<int>(m.channels.size());
-    const int kept_pos = !spatial        ? pos_domain
-                         : m.positions.empty()
-                             ? pos_domain
-                             : static_cast<int>(m.positions.size());
-    const int kept_out =
-        m.out_channels.empty() ? out_c : static_cast<int>(m.out_channels.size());
-    return (static_cast<double>(kept_ch) / g.in_c) *
-           (static_cast<double>(kept_pos) / pos_domain) *
-           (static_cast<double>(kept_out) / out_c);
-  };
-
-  bool any_over = false;
-  for (int b = 0; b < n && !any_over; ++b) {
-    any_over = mac_frac(masks[static_cast<size_t>(b)]) > compute_cap_;
-  }
-  if (!any_over) return masks;  // untouched: the uncapped path is bitwise
-
-  int capped = 0;
-  for (int b = 0; b < n; ++b) {
-    const nn::ConvRuntimeMask& src = masks[static_cast<size_t>(b)];
-    nn::ConvRuntimeMask& dst = op.capped_masks[static_cast<size_t>(b)];
-    // Copies assign into reserved capacity — no allocation once warm.
-    dst.channels.assign(src.channels.begin(), src.channels.end());
-    dst.positions.assign(src.positions.begin(), src.positions.end());
-    dst.out_channels.assign(src.out_channels.begin(), src.out_channels.end());
-    const double frac = mac_frac(src);
-    if (frac <= compute_cap_) continue;
-    ++capped;
-    // Clamp channels first, then spatial positions, each to its share of
-    // the cap (floored at one kept entry). Kept filters are the op's own
-    // static structure and stay untouched. Truncation keeps the lowest
-    // indices — arbitrary but deterministic; the attention ordering is
-    // not available at the executor, and a capped request is degraded by
-    // definition.
-    const int kept_ch =
-        dst.channels.empty() ? g.in_c : static_cast<int>(dst.channels.size());
-    const int kept_pos = !spatial        ? pos_domain
-                         : dst.positions.empty()
-                             ? pos_domain
-                             : static_cast<int>(dst.positions.size());
-    const double ch_frac = static_cast<double>(kept_ch) / g.in_c;
-    const double rest = frac / ch_frac;  // position x filter share
-    int want_ch = static_cast<int>(
-        std::floor(compute_cap_ / rest * g.in_c));
-    want_ch = std::clamp(want_ch, 1, kept_ch);
-    truncate_kept(dst.channels, g.in_c, want_ch);
-    if (spatial && mac_frac(dst) > compute_cap_) {
-      const double after_ch =
-          mac_frac(dst) / (static_cast<double>(kept_pos) / pos_domain);
-      int want_pos = static_cast<int>(
-          std::floor(compute_cap_ / after_ch * pos_domain));
-      want_pos = std::clamp(want_pos, 1, kept_pos);
-      truncate_kept(dst.positions, pos_domain, want_pos);
-    }
-  }
-  op.last_capped = capped;
-  return {op.capped_masks.data(), static_cast<size_t>(n)};
 }
 
 size_t InferencePlan::op_scratch_bytes(int op_index, int n) const {
@@ -706,7 +610,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
             op.residual >= 0
                 ? slots_[static_cast<size_t>(op.residual)].data()
                 : nullptr;
-        std::span<const nn::ConvRuntimeMask> masks =
+        const std::span<const nn::ConvRuntimeMask> masks =
             op.conv->take_runtime_masks();
         const Workspace::Mark scratch = ws.mark();
         // Int8 regime: the group kernel runs its channel path quantized and
@@ -719,16 +623,6 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
         if (!masks.empty()) {
           AD_CHECK_EQ(static_cast<int>(masks.size()), n)
               << " runtime mask count vs batch size";
-          // Per-request compute cap: samples demanding more than the
-          // kept-MAC ceiling get their masks clamped before bucketing, so
-          // everything downstream (grouping, kernels, stats) sees the
-          // clamped sets. When no sample exceeds the cap the original
-          // span passes through untouched — the uncapped path stays
-          // bitwise identical to an uncapped plan.
-          op.last_capped = 0;
-          if (compute_cap_ < 1.0) {
-            masks = cap_runtime_masks(op, masks, n);
-          }
           // Bucket the batch by canonical mask key: a drop ratio quantizes
           // the samples into a handful of distinct kept sets, and every
           // bucket executes as ONE compacted multi-sample GEMM instead of
@@ -771,12 +665,7 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           op.last_coarsen_pred_before = 0.0;
           op.last_coarsen_pred_after = 0.0;
           const nn::ConvRuntimeMask* const* gmask = nullptr;
-          // Capped passes never coarsen: a union mask could re-add
-          // channels the cap just truncated — whose upstream activations
-          // are NOT zero — silently undoing the compute ceiling (and,
-          // unlike ordinary coarsening, changing values).
-          if (coarsen_ == CoarsenMode::kAuto && groups >= 2 &&
-              op.last_capped == 0) {
+          if (coarsen_ == CoarsenMode::kAuto && groups >= 2) {
             // The coarsened order/bounds and per-group mask pointers must
             // outlive the planner scratch (the kernels read them), so
             // they are carved BEFORE the planner's rewind mark.
@@ -1022,7 +911,6 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
           }
           op.last_groups = 0;
           op.last_groups_raw = 0;
-          op.last_capped = 0;
           op.last_coarsen_extra_macs = 0;
           op.last_coarsen_extra_ch = 0;
           op.last_coarsen_pred_before = 0.0;
@@ -1066,15 +954,18 @@ Tensor InferencePlan::run(const Tensor& x, nn::ExecutionContext& ctx) {
       }
       case OpKind::kGate: {
         // Either way the gate hands keep sets to its consumer Conv2d, whose
-        // fused step picks them up next, and masks and map match the
-        // module walk bitwise. A masking AttentionGate zeroes the producer's
-        // buffer in place from the attention its epilogue wrote; any other
-        // gate runs its module forward.
+        // fused step picks them up next. A masking AttentionGate zeroes the
+        // producer's buffer in place from the attention its epilogue wrote,
+        // with its kept counts lowered to the compute cap; any other gate
+        // runs its module forward, uncapped. Masks and map match the module
+        // walk bitwise at drop ratios with the same kept counts.
         Tensor& map = slots_[static_cast<size_t>(op.input)];
         if (op.attention != nullptr && op.attention->masks_in_place()) {
-          op.attention->mask_in_place(map);
+          op.attention->mask_in_place(map, compute_cap_);
+          op.last_capped = op.attention->last_stats().capped;
           slots_[static_cast<size_t>(op.output)] = map;
         } else {
+          op.last_capped = 0;
           slots_[static_cast<size_t>(op.output)] = op.gate->forward(map, ctx);
         }
         break;

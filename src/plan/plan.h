@@ -31,9 +31,10 @@
 //     core::AttentionGate that masks this pass makes no pass of its own
 //     over its map: its producer conv's fused epilogue writes the
 //     attention means while it writes the map, and the gate step only
-//     selects and zeroes the dropped planes and positions in the
-//     producer's own buffer (the builder guarantees the gate is that
-//     buffer's sole reader), so the gate allocates nothing.
+//     selects (at most the plan's compute cap) and zeroes the dropped
+//     planes and positions in the producer's own buffer (the builder
+//     guarantees the gate is that buffer's sole reader), so the gate
+//     allocates nothing.
 //   - masked conv steps executed BATCH-GRANULAR and MASK-GROUPED: a drop
 //     ratio quantizes a batch into a small number of distinct kept sets,
 //     so the executor buckets samples by canonical mask key
@@ -64,7 +65,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -179,7 +179,7 @@ inline constexpr int64_t kTileMinPositions = 4096;
 inline constexpr int64_t kTileMinWidth = 64;
 
 // Floor of the per-request compute cap (set_compute_cap clamps into
-// [kMinComputeCap, 1.0]); below ~5% kept MACs the truncated masks carry
+// [kMinComputeCap, 1.0]); below ~5% kept MACs the capped keep sets carry
 // too few channels to produce a meaningful prediction anyway.
 inline constexpr double kMinComputeCap = 0.05;
 
@@ -329,15 +329,10 @@ struct PlanOp {
   // coarsened pass materializes its union kept sets into coarse_masks[c].
   // One slot per sample of the largest batch the plan has been sized for,
   // each with the op's full kept-set domains as capacity, so a warm
-  // coarsened pass stays heap-allocation-free.
+  // coarsened pass stays heap-allocation-free. The executor's only mask
+  // storage: every other conv step runs off its Conv2d's pending masks in
+  // place.
   std::vector<nn::ConvRuntimeMask> coarse_masks;
-
-  // Per-pass clamped-mask storage for the compute cap: when any sample's
-  // runtime mask demands more than the plan's kept-MAC ceiling at this
-  // step, the whole batch's masks are copied here (offenders truncated)
-  // and the executor runs off this storage instead. Sized like
-  // coarse_masks, so a warm capped pass stays heap-allocation-free.
-  std::vector<nn::ConvRuntimeMask> capped_masks;
 
   // kConv: chosen output-position tile width (0 = untiled). Set at
   // plan-compile time from the geometry (choose_conv_tile); shared by the
@@ -353,8 +348,9 @@ struct PlanOp {
   // Exact-identity bucket count of the most recent run, before any
   // coarsening (== last_groups when coarsening is off or declined).
   int last_groups_raw = 0;
-  // Samples of the most recent run whose masks exceeded the compute cap
-  // and were clamped (0 when uncapped or every mask fit).
+  // kGate: samples of the most recent run whose kept counts the gate
+  // lowered to the compute cap (0 when uncapped, when the counts fit, and
+  // on every other op).
   int last_capped = 0;
   // Most recent coarsening decision: union-added MACs of the adopted
   // schedule (model count, 0 when nothing merged), total extra kept
@@ -449,8 +445,8 @@ class InferencePlan {
   // kMaxGroupWorkers). Known before the first forward ever runs.
   size_t arena_bytes(int n) const;
   // Pre-grows `ws` and sizes the plan's per-pass storage (the coarsened
-  // and capped mask slots, the per-worker slice views) so a pass of batch
-  // size `n` performs zero arena growths, and the plan itself zero heap
+  // mask slots, the per-worker slice views) so a pass of batch size `n`
+  // performs zero arena growths, and the plan itself zero heap
   // allocations, starting with the very first one.
   void reserve(Workspace& ws, int n);
 
@@ -474,21 +470,22 @@ class InferencePlan {
   CoarsenMode coarsen() const { return coarsen_; }
 
   // Installs the per-request compute cap: the maximum kept-MAC fraction
-  // (kept channels x kept positions x kept filters over the op's dense
-  // domains) any sample's runtime mask may demand of a conv step. Samples
-  // over the cap get their kept sets truncated in canonical index order —
-  // channels first, then spatial positions — before bucketing, so a
-  // hostile maximum-keep input degrades gracefully instead of inflating
-  // the step's compute. 1.0 (the default) disables capping; values are
-  // clamped to [kMinComputeCap, 1.0]. Capped passes skip union
-  // coarsening: a union could re-add truncated channels whose upstream
-  // activations are NOT zero, silently undoing the cap. Safe at any time;
-  // the arena footprint is unaffected (capping only ever shrinks kept
-  // sets, and capped_masks storage is accounted by reserve()).
+  // (kept channels x kept positions over the consumer's dense domains)
+  // any sample may keep of a conv step an in-place AttentionGate masks.
+  // The gate step hands the cap to AttentionGate::mask_in_place, which
+  // lowers its kept counts before it selects — channels first, then
+  // spatial positions for an aligned consumer — so the least-attended
+  // entries go first and a hostile maximum-keep input degrades gracefully
+  // instead of inflating the step's compute. The dropped entries are zero
+  // in the map, so capped passes coarsen like any other. Module-forward
+  // gates (soft, FBS) and directly installed masks stay uncapped. 1.0
+  // (the default) disables capping; values are clamped to
+  // [kMinComputeCap, 1.0]. Safe at any time; the arena footprint is
+  // unaffected (capping only ever shrinks kept sets).
   void set_compute_cap(double cap);
   double compute_cap() const { return compute_cap_; }
-  // Samples clamped by the cap in the most recent run (max over conv
-  // steps: a sample capped anywhere counts once).
+  // Samples the cap lowered in the most recent run (max over gate steps:
+  // a sample capped anywhere counts once).
   int last_capped_samples() const;
   // Peak-arena breakdown at batch n: index of the conv op whose scratch
   // sets the pass's high-water mark (-1 when no op has scratch), plus
@@ -547,11 +544,6 @@ class InferencePlan {
   NumericRegime regime_ = NumericRegime::kF32;
   CoarsenMode coarsen_ = CoarsenMode::kAuto;
   double compute_cap_ = 1.0;  // 1.0 = uncapped
-  // Applies the compute cap to a masked conv pass: returns `masks`
-  // untouched when every sample fits, otherwise copies the batch into
-  // op.capped_masks (offenders truncated) and returns a span over it.
-  std::span<const nn::ConvRuntimeMask> cap_runtime_masks(
-      PlanOp& op, std::span<const nn::ConvRuntimeMask> masks, int n);
   int64_t act_floats_ = 0;  // per-sample high water of planned offsets
 
   // Reused across runs (sized at compile time, no per-pass allocation).
@@ -571,10 +563,10 @@ class InferencePlan {
     Slot slot[kMaxGroupWorkers];
   };
   std::unique_ptr<GroupSlices> group_slices_;
-  // Sizes every conv step's coarse_masks and capped_masks to n slots with
-  // full-domain capacities, and creates the slice views. Does work only
-  // when n exceeds every batch size sized before; reserve() and run() both
-  // call it, so warm passes never grow this storage on the heap.
+  // Sizes every conv step's coarse_masks to n slots with full-domain
+  // capacities, and creates the slice views. Does work only when n
+  // exceeds every batch size sized before; reserve() and run() both call
+  // it, so warm passes never grow this storage on the heap.
   void size_pass_storage(int n);
   // Shared ascending identity indices, sized at the plan's largest channel
   // count; spans over a prefix stand in for an empty (= keep all) channel

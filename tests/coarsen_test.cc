@@ -1,7 +1,8 @@
 // Similar-mask union coarsening, from the bitset primitives up through the
 // executor, under a forced 4-thread pool:
-//   - packed kept-set bitsets round-trip (keep-all canonicalization, the
-//     symdiff fast-reject) and mask_equal's kept-count fast-reject;
+//   - packed kept-set bitsets round-trip (keep-all canonicalization,
+//     intersection and union popcounts) and mask_equal's kept-count
+//     fast-reject;
 //   - union-SUPERSET execution is bitwise: running a group kernel with a
 //     superset mask whose extra channels/positions are zero in the input
 //     matches the exact mask bit for bit, f32 and int8 (exact integer
@@ -77,19 +78,12 @@ TEST(CoarsenBits, PackRoundTripsAndCanonicalizesKeepAll) {
   EXPECT_TRUE(back.empty());
 }
 
-TEST(CoarsenBits, SymdiffIntersectUnion) {
+TEST(CoarsenBits, IntersectUnion) {
   const int n = 64, words = 1;
   uint64_t a, b;
   core::pack_kept_bits(std::vector<int>{0, 1, 2, 3}, n, &a);
   core::pack_kept_bits(std::vector<int>{2, 3, 4, 5}, n, &b);
-  EXPECT_EQ(core::mask_symdiff_bits(&a, 4, &b, 4, words, n + 1), 4);
   EXPECT_EQ(core::mask_intersect_bits(&a, &b, words), 2);
-  EXPECT_FALSE(core::bits_equal(&a, &b, words));
-
-  // Fast-reject: a count gap >= limit skips the walk and returns limit.
-  uint64_t big;
-  core::pack_kept_bits({}, n, &big);  // 64 kept
-  EXPECT_EQ(core::mask_symdiff_bits(&a, 4, &big, 64, words, 8), 8);
 
   core::union_bits_inplace(&a, &b, words);
   EXPECT_EQ(core::popcount_words(&a, words), 6);

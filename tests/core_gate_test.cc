@@ -127,6 +127,71 @@ TEST(Gate, MisalignedGateForwardsOnlyChannelMasks) {
   EXPECT_EQ(consumer.last_macs(), 2LL * 16 * 2 * 9);
 }
 
+TEST(Gate, ComputeCapLowersBothCountsAndKeepsTheTopByAttention) {
+  // 4 channels at drop 0.5 keep 2 and 16 positions at drop 0.3 keep 11, so
+  // a sample keeps 2/4 x 11/16 of the aligned consumer's MACs. A 0.05 cap
+  // lowers channels to floor(0.05 / (11/16) * 4) = 0, floored at 1; 1/4 x
+  // 11/16 is still over it, so positions drop to floor(0.05 / (1/4) * 16)
+  // = 3. The ratios rank both dimensions, so the gate keeps the top
+  // channel and the top 3 positions by attention, as select_kept_into
+  // does at those counts.
+  const int n = 2, c = 4, h = 4, w = 4, hw = h * w;
+  nn::Conv2d consumer(c, 2, 3, 1, 1, false);
+  AttentionGate gate({.channel_drop = 0.5f, .spatial_drop = 0.3f}, &consumer,
+                     /*spatially_aligned=*/true);
+  gate.set_training(false);
+  ASSERT_TRUE(gate.masks_in_place());
+  Rng rng(12);
+  const auto pass = [&](double cap) {
+    // Positive map values, so a zero in the masked map means "dropped".
+    Tensor x({n, c, h, w});
+    for (int64_t i = 0; i < x.size(); ++i) x[i] = rng.uniform_float(1.f, 2.f);
+    const AttentionGate::AttentionOut att = gate.attention_out(n, c, h, w);
+    for (int i = 0; i < n * c; ++i) att.channel[i] = rng.uniform_float(0, 1);
+    for (int i = 0; i < n * hw; ++i) att.spatial[i] = rng.uniform_float(0, 1);
+    gate.mask_in_place(x, cap);
+    return x;
+  };
+
+  const Tensor x = pass(0.05);
+  const AttentionGate::Stats& s = gate.last_stats();
+  EXPECT_EQ(s.capped, n);
+  EXPECT_EQ(s.kept_channels, n * 1);
+  EXPECT_EQ(s.kept_positions, n * 3);
+  EXPECT_TRUE(consumer.has_pending_masks());
+  const Tensor ch_att = gate.last_channel_attention();
+  const Tensor sp_att = gate.last_spatial_attention();
+  SelectScratch scratch;
+  std::vector<int> top_ch, top_pos;
+  for (int b = 0; b < n; ++b) {
+    select_kept_into(std::span<const float>(ch_att.data() + b * c, c), 1,
+                     MaskOrder::kAttention, rng, scratch, top_ch);
+    select_kept_into(std::span<const float>(sp_att.data() + b * hw, hw), 3,
+                     MaskOrder::kAttention, rng, scratch, top_pos);
+    const nn::ConvRuntimeMask& m = gate.last_masks()[static_cast<size_t>(b)];
+    EXPECT_EQ(m.channels, top_ch) << "sample " << b;
+    EXPECT_EQ(m.positions, top_pos) << "sample " << b;
+    // The map keeps exactly the kept channel's kept positions.
+    const std::vector<uint8_t> keep_ch = kept_to_mask(top_ch, c);
+    const std::vector<uint8_t> keep_pos = kept_to_mask(top_pos, hw);
+    for (int ch = 0; ch < c; ++ch) {
+      for (int j = 0; j < hw; ++j) {
+        const bool kept = keep_ch[static_cast<size_t>(ch)] &&
+                          keep_pos[static_cast<size_t>(j)];
+        EXPECT_EQ(x[(static_cast<int64_t>(b) * c + ch) * hw + j] != 0.f,
+                  kept)
+            << "sample " << b << " channel " << ch << " position " << j;
+      }
+    }
+  }
+
+  // Uncapped, the same gate keeps the ratios' counts.
+  pass(1.0);
+  EXPECT_EQ(gate.last_stats().capped, 0);
+  EXPECT_EQ(gate.last_stats().kept_channels, n * 2);
+  EXPECT_EQ(gate.last_stats().kept_positions, n * 11);
+}
+
 TEST(Gate, SetForwardToConsumerOffMasksOnly) {
   nn::Conv2d consumer(4, 2, 3, 1, 1, false);
   AttentionGate gate({.channel_drop = 0.5f}, &consumer, true);

@@ -22,7 +22,7 @@
 //   - the f32 fresh case with the tracer armed (skipped when profiling is
 //     compiled out);
 //   - small_cnn with channel drop 0.3 under a binding 0.4 compute cap,
-//     which clamps every sample's masks;
+//     under which every gate lowers every sample's kept channels;
 //   - the f32 fresh case with batches alternating between 8 and 4, the way
 //     a serving replica sees them: the gates' and convs' per-batch storage
 //     must keep its capacity when the batch shrinks.

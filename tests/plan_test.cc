@@ -576,8 +576,8 @@ TEST(InferencePlan, MeasuredArenaPeakStaysWithinArenaBytes) {
 TEST(InferencePlan, ComputeCapBitwiseWhenSlackAndCapsEverySampleWhenBound) {
   // Channel-only drops of 0.3: every masked sample keeps about 0.7 of each
   // gated conv step's MACs, so a 0.9 cap never binds and a 0.4 cap always
-  // does. A cap that binds no sample hands the original masks through
-  // untouched, so the plan stays bitwise equal to the uncapped plan.
+  // does. A cap that binds no gate leaves every kept count as the drop
+  // ratios set it, so the plan stays bitwise equal to the uncapped plan.
   const int batch = 4;
   const Case c{"small_cnn", 32, 0.25f};
   auto net = build(c, /*seed=*/9);
@@ -605,6 +605,117 @@ TEST(InferencePlan, ComputeCapBitwiseWhenSlackAndCapsEverySampleWhenBound) {
   run_once();
   EXPECT_EQ(plan.last_capped_samples(), batch) << "cap 0.4";
   engine.remove();
+}
+
+// Sets each walk gate's drop ratios to ones whose kept counts are the
+// counts its plan twin kept last pass (the compute cap lowers them per
+// gate, not per sample). Returns whether the cap lowered some gate's
+// positions below what the spatial drop keeps.
+bool walk_at_plan_counts(core::DynamicPruningEngine& walk,
+                         const core::DynamicPruningEngine& planned,
+                         float spatial_drop) {
+  bool positions_capped = false;
+  for (size_t g = 0; g < planned.gates().size(); ++g) {
+    const core::AttentionGate::Stats& s = planned.gates()[g]->last_stats();
+    if (s.samples == 0) continue;
+    const int k_ch = static_cast<int>(s.kept_channels / s.samples);
+    const int k_pos = static_cast<int>(s.kept_positions / s.samples);
+    const auto drop = [](int k, int domain) {
+      const float ratio = static_cast<float>(domain - k) / domain;
+      EXPECT_EQ(core::kept_count(domain, ratio), k);
+      return ratio;
+    };
+    walk.gates()[g]->set_ratios(drop(k_ch, s.channels),
+                                drop(k_pos, s.positions));
+    positions_capped |= k_pos < core::kept_count(s.positions, spatial_drop);
+  }
+  return positions_capped;
+}
+
+TEST(InferencePlan, BindingCapMatchesModuleWalkAtTheCappedCounts) {
+  // Drops 0.5/0.3 keep 0.35 of an aligned consumer's MACs and 0.5 of any
+  // other, so the 0.05 floor cap binds at every gate. Each gate lowers its
+  // kept counts and still ranks by attention, so the plan equals the
+  // module walk run at drop ratios with those counts: same masks, same
+  // MACs, same logits bit for bit. resnet20's 8-channel first stage keeps
+  // one channel and is still over the cap, so its gates lower positions
+  // too.
+  const float channel_drop = 0.5f, spatial_drop = 0.3f;
+  const int batch = 3;
+  bool positions_capped = false;
+  for (const Case& c : kCases) {
+    auto walk = build(c);
+    auto planned = build(c);
+    const core::PruneSettings settings = core::PruneSettings::uniform(
+        walk->num_blocks(), channel_drop, spatial_drop);
+    core::DynamicPruningEngine walk_engine(*walk, settings);
+    core::DynamicPruningEngine plan_engine(*planned, settings);
+    // Same-MACs assertion: exact-identity grouping only.
+    planned->set_coarsen_policy(plan::CoarsenMode::kOff);
+    planned->set_compute_cap(plan::kMinComputeCap);
+    Rng rng(37);
+    Tensor x = Tensor::randn({batch, 3, c.image, c.image}, rng);
+
+    nn::ExecutionContext ctx;
+    ctx.begin_pass();
+    const Tensor fused = planned->forward(x, ctx);
+    EXPECT_EQ(planned->current_plan()->last_capped_samples(), batch)
+        << c.model;
+    positions_capped |=
+        walk_at_plan_counts(walk_engine, plan_engine, spatial_drop);
+    const Tensor plain = walk->forward(x);
+    EXPECT_TRUE(bitwise_equal(plain, fused))
+        << c.model << " max |diff| " << max_abs_diff(plain, fused);
+    EXPECT_EQ(planned->last_macs(), walk->last_macs()) << c.model;
+    for (size_t g = 0; g < walk_engine.gates().size(); ++g) {
+      expect_same_gate(*walk_engine.gates()[g], *plan_engine.gates()[g],
+                       std::string(c.model) + " gate " + std::to_string(g));
+    }
+    walk_engine.remove();
+    plan_engine.remove();
+  }
+  EXPECT_TRUE(positions_capped);
+}
+
+TEST(InferencePlan, CappedNearIdenticalBatchCoarsensAndStaysBitwise) {
+  // Eight copies of one input, each with its own faint noise: the gates'
+  // kept sets differ only in a few boundary entries, so exact-identity
+  // bucketing sees up to eight groups (conv1 and conv3 do at 1 to 4
+  // threads) and union coarsening merges them. The cap lowers the kept
+  // counts and the gates zero every entry they drop, so a union's extra
+  // entries are zero upstream and the coarsened capped pass still equals
+  // the per-sample module walk at the capped counts.
+  const Case c{"vgg16", 32, 0.25f};
+  const float channel_drop = 0.5f, spatial_drop = 0.3f;
+  const int batch = 8;
+  auto walk = build(c);
+  auto planned = build(c);
+  const core::PruneSettings settings = core::PruneSettings::uniform(
+      walk->num_blocks(), channel_drop, spatial_drop);
+  core::DynamicPruningEngine walk_engine(*walk, settings);
+  core::DynamicPruningEngine plan_engine(*planned, settings);
+  planned->set_coarsen_policy(plan::CoarsenMode::kAuto);
+  planned->set_compute_cap(0.2);
+  Rng rng(41);
+  Tensor x = duplicated_batch(batch, 1, c.image, rng);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    x[i] += 1e-2f * static_cast<float>(rng.normal());
+  }
+
+  nn::ExecutionContext ctx;
+  ctx.begin_pass();
+  const Tensor fused = planned->forward(x, ctx);
+  const plan::InferencePlan* plan = planned->current_plan();
+  EXPECT_EQ(plan->last_capped_samples(), batch);
+  EXPECT_GT(plan->last_mask_groups_raw(), 1);
+  EXPECT_LT(plan->last_mask_groups(), plan->last_mask_groups_raw());
+  EXPECT_GT(plan->last_coarsen_extra_macs(), 0);
+  walk_at_plan_counts(walk_engine, plan_engine, spatial_drop);
+  const Tensor plain = walk->forward(x);
+  EXPECT_TRUE(bitwise_equal(plain, fused))
+      << "max |diff| " << max_abs_diff(plain, fused);
+  walk_engine.remove();
+  plan_engine.remove();
 }
 
 // --- spatially-tiled lowering ------------------------------------------------
